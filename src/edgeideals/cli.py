@@ -23,18 +23,58 @@ from .symbolic import CycleDecomposition, asymptotic_invariants, symbolic_power
 
 
 def _parse_field(value: str) -> tuple[str, int]:
-    """'rational' or a prime number p for coefficients mod p."""
+    """'rational' or a number p for coefficients mod p (primality is checked
+    with the other option values, in _usage_error)."""
     if value == "rational":
         return ("rational", 32003)
     try:
-        p = int(value)
+        return ("prime", int(value))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"field must be 'rational' or a prime, not {value!r}"
         )
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
+    a strong probable-prime test above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2:
-        raise argparse.ArgumentTypeError(f"{p} is not a usable prime")
-    return ("prime", p)
+        return False
+    if p in bases:
+        return True
+    if any(p % q == 0 for q in bases):
+        return False
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _usage_error(args) -> str | None:
+    """The first invalid option value shared by the verbs, or None."""
+    if args.s_min < 1:
+        return f"--s-min must be at least 1, not {args.s_min}"
+    if args.s_max < args.s_min:
+        return f"--s-max {args.s_max} is below --s-min {args.s_min}"
+    for flag, value in (("--max-vertices", args.max_vertices),
+                        ("--max-generators", getattr(args, "max_generators", 1))):
+        if value < 1:
+            return f"{flag} must be at least 1, not {value}"
+    field = getattr(args, "field", ("rational", 0))
+    if field[0] == "prime" and not _is_prime(field[1]):
+        return f"--field {field[1]} is not a prime"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,6 +223,10 @@ def _cmd_invariants(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except GraphFormatError as exc:

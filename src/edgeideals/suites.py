@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .betti import quotient_regularity, regularity, socle_regularity
+from .betti import betti_table, socle_regularity
 from .errors import LimitExceeded
 from .evenconnect import (
     colon_via_even_connections,
@@ -30,8 +30,8 @@ from .families import (
     random_connected_graph,
     three_triangles,
 )
-from .graphs import CycleCertificate, Graph, check_hypotheses
-from .monomials import first_difference
+from .graphs import CycleCertificate, Graph, HypothesesReport, check_hypotheses
+from .monomials import Monomial, first_difference
 from .reports import InstanceInfo, RunConfig, VerificationReport, describe_instance
 from .symbolic import (
     CycleDecomposition,
@@ -289,7 +289,22 @@ def _suite_orderings(inst: GraphInstance, cfg: RunConfig) -> list[VerificationRe
     return out
 
 
+def _equality_gate(hyp: HypothesesReport) -> str | None:
+    """Why reg I^(s) = reg I^s is not asserted for (G, C), or None when it is:
+    C dominates G, or nu(G)-nu(H) >= 3 with H off every odd cycle."""
+    if hyp.dominates_open or (hyp.gap_at_least_3 and hyp.h_off_all_cycles):
+        return None
+    failed = ["cycle does not dominate"]
+    if not hyp.gap_at_least_3:
+        failed.append("nu(G)-nu(H) < 3")
+    if not hyp.h_off_all_cycles:
+        failed.append("H meets an odd cycle")
+    return "; ".join(failed)
+
+
 def _suite_regularity(inst: GraphInstance, cfg: RunConfig) -> list[VerificationReport]:
+    """One Betti table of I^(s) per s serves both regularity rows; I^s gets
+    its own table only where it differs from I^(s)."""
     g = inst.graph
     cd = _decomposition(inst)
     kwargs = _betti_kwargs(cfg)
@@ -299,16 +314,21 @@ def _suite_regularity(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
         return [_skip("regularity", "sym-vs-ordinary", info0, "no designated odd cycle")]
     hyp = check_hypotheses(g, cd.cycles[0], cfg.max_vertices)
     nu_g = hyp.nu_g
-    equality_applies = hyp.dominates_open or (hyp.gap_at_least_3 and hyp.h_off_all_cycles)
+    gate = _equality_gate(hyp)
     for s in _s_range(cfg):
         info = describe_instance(g, inst.cycles, s=s, label=inst.label)
         sym = symbolic_power(g, s)
-        if not equality_applies:
-            out.append(_skip("regularity", "sym-vs-ordinary", info, "nu(G)-nu(H) < 3"))
+        capped = None
+        try:
+            rs = betti_table(sym, **kwargs).regularity
+        except LimitExceeded as exc:
+            capped = str(exc)
+        if gate is not None or capped is not None:
+            out.append(_skip("regularity", "sym-vs-ordinary", info, gate or capped))
         else:
+            ordinary = ordinary_power(g, s)
             try:
-                rs = regularity(sym, **kwargs)
-                ro = regularity(ordinary_power(g, s), **kwargs)
+                ro = rs if ordinary == sym else betti_table(ordinary, **kwargs).regularity
             except LimitExceeded as exc:
                 out.append(_skip("regularity", "sym-vs-ordinary", info, str(exc)))
             else:
@@ -326,12 +346,10 @@ def _suite_regularity(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
                             witnesses=(f"symbolic {rs}", f"ordinary {ro}"),
                         )
                     )
-        try:
-            qreg = quotient_regularity(sym, **kwargs)
-        except LimitExceeded as exc:
-            out.append(_skip("regularity", "lower-bound", info, str(exc)))
+        if capped is not None:
+            out.append(_skip("regularity", "lower-bound", info, capped))
         else:
-            lower = 2 * s + nu_g - 2
+            qreg, lower = rs - 1, 2 * s + nu_g - 2
             if qreg >= lower:
                 out.append(
                     VerificationReport(
@@ -355,10 +373,15 @@ def _suite_regularity(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
                 )
             )
         else:
+            # Every degree-(2s-1) monomial then lies in the computed I^(s).
+            top = Monomial.variable(0, g.vertex_count).pow(2 * s - 1)
             out.append(
                 VerificationReport(
                     "regularity", "socle", info, "fail",
-                    witnesses=(f"socle degree {socle} != {2 * s - 1}",),
+                    witnesses=(
+                        f"socle degree {socle} != {2 * s - 1}",
+                        f"{top.render()} in I^({s})",
+                    ),
                 )
             )
     return out

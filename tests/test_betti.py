@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from edgeideals import betti
 from edgeideals.betti import (
     betti_table,
     bound_checks,
@@ -31,6 +32,8 @@ from edgeideals.monomials import (
     MonomialIdeal,
     alpha_degree,
     contains,
+    ideal_power,
+    ideal_sum,
     parse_ideal,
     parse_monomial,
     variable_power_ideal,
@@ -233,6 +236,25 @@ def test_socle_regularity():
     assert socle_regularity(three_triangles()[0], 2) == 3
     assert socle_regularity(path_graph(4), 1) == 1
     assert socle_regularity(cycle_graph(7), 2) == 3
+
+
+def test_socle_regularity_reports_a_wrong_symbolic_power(monkeypatch):
+    # Adding m^(2s-1) to I^(s) kills the whole degree-(2s-1) piece, x1^(2s-1)
+    # included, so the top surviving degree drops to 2s-2; nothing raises.
+    real = betti.symbolic_power
+
+    def too_big(g, s, *args):
+        n = g.vertex_count
+        return ideal_sum(
+            real(g, s, *args), ideal_power(variable_power_ideal(n, range(n), 1), 2 * s - 1)
+        )
+
+    monkeypatch.setattr(betti, "symbolic_power", too_big)
+    assert socle_regularity(cycle_graph(5), 1) == 0
+    assert socle_regularity(cycle_graph(5), 2) == 2
+    assert socle_regularity(three_triangles()[0], 3) == 4
+    monkeypatch.setattr(betti, "symbolic_power", lambda g, s: MonomialIdeal.unit(g.vertex_count))
+    assert socle_regularity(cycle_graph(5), 2) == -1
 
 
 def test_bound_checks_cycle():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -149,3 +150,41 @@ def test_bad_field_value(c5_file):
 def test_unknown_suite_rejected(c5_file):
     with pytest.raises(SystemExit):
         main(["check", c5_file, "--suite", "nope"])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sympow", "--s-min", "0"], "--s-min must be at least 1, not 0"),
+        (["check", "--s-min", "0"], "--s-min must be at least 1, not 0"),
+        (["sympow", "--s-min", "3", "--s-max", "1"], "--s-max 1 is below --s-min 3"),
+        (["invariants", "--s-max", "0"], "--s-max 0 is below --s-min 1"),
+        (["check", "--max-vertices", "0"], "--max-vertices must be at least 1, not 0"),
+        (["check", "--max-generators", "0"], "--max-generators must be at least 1, not 0"),
+        (["reg", "--field", "4"], "--field 4 is not a prime"),
+        (["check", "--field", "1"], "--field 1 is not a prime"),
+        (["reg", "--field", "32001"], "--field 32001 is not a prime"),
+    ],
+)
+def test_invalid_option_values_exit_2(c5_file, capsys, args, message):
+    verb, *rest = args
+    files = [] if verb == "check" else [c5_file]
+    assert main([verb, *files, *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_large_prime_field_accepted(c5_file, capsys):
+    assert main(["reg", c5_file, "--s-max", "1", "--field", "2147483647"]) == 0
+    assert "regularity 3 (prime)" in capsys.readouterr().out
+
+
+def test_regularity_suite_report_bytes_pinned(tmp_path):
+    # sha256 of this report as produced before the suite shared one Betti
+    # table per ideal; these bytes may only change on purpose.
+    out = tmp_path / "reg.json"
+    args = ["check", "--format", "json", "--suite", "regularity", "--s-max", "2"]
+    assert main(args + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "64dc02e722ca4285c8a39ed999f1b0ef6b7acd2424237bb978ae435940fb2720"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from edgeideals import betti, suites
+from edgeideals.errors import LimitExceeded
 from edgeideals.families import (
     cycle_certificate,
     cycle_graph,
@@ -9,8 +11,11 @@ from edgeideals.families import (
     path_graph,
     three_triangles,
 )
+from edgeideals.graphs import parse_graph_text
+from edgeideals.monomials import ideal_power, ideal_sum, variable_power_ideal
 from edgeideals.reports import RunConfig, exit_code
 from edgeideals.suites import GraphInstance, default_instances, run_suite
+from edgeideals.symbolic import ordinary_power, symbolic_power
 
 
 def _by_check(reports):
@@ -72,10 +77,94 @@ def test_regularity_gate_reason():
     by = _by_check(reports)
     (r,) = by[("regularity", "sym-vs-ordinary")]
     assert r.status == "skipped"
-    assert r.reason == "nu(G)-nu(H) < 3"
+    assert r.reason == "cycle does not dominate; nu(G)-nu(H) < 3"
     # the unconditional statements still run on the gated instance
     assert by[("regularity", "lower-bound")][0].status == "pass"
     assert by[("regularity", "socle")][0].status == "pass"
+
+
+def test_regularity_gate_reason_names_odd_cycle_in_h():
+    # C5-two-branches with the triangle 10-11-12 hung off the end of a
+    # branch: the gap is 3, but the triangle lies in H.
+    edges = [(1, 2), (1, 5), (1, 6), (1, 8), (2, 3), (3, 4), (4, 5), (6, 7), (8, 9),
+             (7, 10), (10, 11), (10, 12), (11, 12)]
+    text = "n 12\n" + "".join(f"e {u} {v}\n" for u, v in edges) + "c 1 2 3 4 5\n"
+    g, certs = parse_graph_text(text)
+    # the generator cap skips the Betti tables; the gate is decided before them
+    cfg = RunConfig(s_min=1, s_max=1, suites=("regularity",), max_generators=5)
+    by = _by_check(run_suite(cfg, [GraphInstance(g, certs, "C5-branch-triangle")]))
+    (r,) = by[("regularity", "sym-vs-ordinary")]
+    assert r.status == "skipped"
+    assert r.reason == "cycle does not dominate; H meets an odd cycle"
+
+
+def _count_tables(monkeypatch):
+    """Record every ideal passed to suites.betti_table, and the capped ones."""
+    calls, capped = [], []
+    real = suites.betti_table
+
+    def counted(a, **kwargs):
+        calls.append(a)
+        try:
+            return real(a, **kwargs)
+        except LimitExceeded:
+            capped.append(a)
+            raise
+
+    monkeypatch.setattr(suites, "betti_table", counted)
+    return calls, capped
+
+
+@pytest.mark.parametrize(
+    "label, graph_and_cert",
+    [
+        ("C5", lambda: (cycle_graph(5), cycle_certificate(5))),
+        ("C5-two-branches", lambda: cycle_with_paths(5, [(1, 2), (1, 2)])),
+    ],
+)
+def test_regularity_suite_builds_one_table_per_ideal(monkeypatch, label, graph_and_cert):
+    g, cert = graph_and_cert()
+    calls, capped = _count_tables(monkeypatch)
+    cfg = RunConfig(s_min=1, s_max=3, suites=("regularity",))
+    reports = suites._suite_regularity(GraphInstance(g, (cert,), label), cfg)
+    expected = []
+    for s in (1, 2, 3):
+        sym, ordinary = symbolic_power(g, s), ordinary_power(g, s)
+        expected.append(sym)
+        if sym not in capped and ordinary != sym:
+            expected.append(ordinary)
+    assert calls == expected
+    if label == "C5":
+        assert capped == []
+    else:
+        # the s = 3 closure passes the cap: built once, and both rows skip
+        assert capped == [symbolic_power(g, 3)]
+        s3 = [r for r in reports if r.instance.s == 3 and r.check != "socle"]
+        assert [r.status for r in s3] == ["skipped", "skipped"]
+        assert s3[0].reason == s3[1].reason and "lcm closure" in s3[0].reason
+
+
+def test_socle_row_fails_on_a_wrong_symbolic_power(monkeypatch):
+    # I^(s) + m^(2s-1) contains x1^(2s-1) and every other monomial of that
+    # degree: the socle row must fail with a witness, not raise.
+    def too_big(g, s, *args):
+        n = g.vertex_count
+        return ideal_sum(
+            symbolic_power(g, s, *args),
+            ideal_power(variable_power_ideal(n, range(n), 1), 2 * s - 1),
+        )
+
+    monkeypatch.setattr(betti, "symbolic_power", too_big)
+    monkeypatch.setattr(suites, "symbolic_power", too_big)
+    cfg = RunConfig(s_min=1, s_max=2, suites=("regularity",))
+    inst = GraphInstance(cycle_graph(5), (cycle_certificate(5),), "C5")
+    reports = run_suite(cfg, [inst])
+    by = _by_check(reports)
+    socle = by[("regularity", "socle")]
+    assert [r.status for r in socle] == ["fail", "fail"]
+    assert socle[0].witnesses == ("socle degree 0 != 1", "x1 in I^(1)")
+    assert socle[1].witnesses == ("socle degree 2 != 3", "x1^3 in I^(2)")
+    assert exit_code(reports) == 1
 
 
 def test_maintheorem_instance_regularity_passes():
