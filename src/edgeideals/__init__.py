@@ -18,7 +18,6 @@ from .errors import GraphFormatError, LimitExceeded, UniverseMismatch
 from .evenconnect import (
     EdgeOrder,
     colon_via_even_connections,
-    edgelex_compare,
     even_connections,
     enumerate_factorizations,
     generator_ordering,
@@ -26,7 +25,6 @@ from .evenconnect import (
     verify_colon_chain,
     verify_leaf_lemma,
     verify_order_lemma,
-    verify_reg_chain,
 )
 from .graphs import (
     CycleCertificate,
@@ -79,7 +77,6 @@ __all__ = [
     "decompose_symbolic",
     "default_instances",
     "edge_ideal",
-    "edgelex_compare",
     "emit_report",
     "enumerate_factorizations",
     "even_connections",
@@ -105,5 +102,4 @@ __all__ = [
     "verify_colon_chain",
     "verify_leaf_lemma",
     "verify_order_lemma",
-    "verify_reg_chain",
 ]

@@ -1,29 +1,25 @@
-"""Multigraded Betti numbers, regularity, and the graded-piece fast paths.
+"""Multigraded Betti numbers, regularity, the Hochster oracle and the socle degree.
 
 beta_{i,b}(a) is the rank of reduced homology in dimension i-1 of the
 upper-Koszul complex of a at the multidegree b.  Candidate multidegrees are
 the closure of the generator exponent vectors under coordinatewise max
 (every nonzero Betti multidegree is an lcm of generators).  Per multidegree
-the complex lives on supp(b), so faces are bitmasks and cones are pruned
-before any matrix work.
+the complex lives on supp(b): its faces are bitmasks over the support,
+cones are pruned before any matrix work, and the rest go to
+`homology.reduced_homology` as face tuples.  The Hochster oracle computes
+squarefree tables through the same routine, from a different complex.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import LimitExceeded
-from .graphs import Graph, induced_matching_number
-from .homology import (
-    DEFAULT_PRIME,
-    SimplicialComplex,
-    boundary_rank,
-    homology_ranks,
-)
+from .graphs import Graph
+from .homology import DEFAULT_PRIME, reduced_homology
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -35,22 +31,6 @@ from .symbolic import symbolic_power
 DEFAULT_MAX_GENERATORS = 200
 DEFAULT_MAX_CLOSURE = 20000
 DEFAULT_MAX_SUPPORT = 16
-
-
-def upper_koszul_complex(a: MonomialIdeal, b: Monomial) -> SimplicialComplex:
-    """Faces are subsets t of supp(b) with x^(b-t) in a."""
-    if a.is_zero:
-        raise ValueError("upper-Koszul complex needs a nonzero ideal")
-    support = b.support()
-    faces = []
-    for r in range(len(support) + 1):
-        for sub in itertools.combinations(support, r):
-            reduced = list(b)
-            for i in sub:
-                reduced[i] -= 1
-            if contains(a, Monomial(reduced)):
-                faces.append(frozenset(sub))
-    return SimplicialComplex.from_faces(faces)
 
 
 def lcm_closure(mat: np.ndarray, cap: int = DEFAULT_MAX_CLOSURE) -> list[tuple[int, ...]]:
@@ -149,28 +129,6 @@ def _is_cone_masked(member: np.ndarray, k: int) -> bool:
     return False
 
 
-def _homology_from_masks(
-    member: np.ndarray, support: list[int], field: str, prime: int
-) -> dict[int, int]:
-    masks = np.nonzero(member)[0]
-    if masks.size == 0:
-        return {}
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for mask in map(int, masks):
-        face = tuple(support[pos] for pos in range(len(support)) if mask >> pos & 1)
-        by_dim.setdefault(len(face) - 1, []).append(face)
-    for faces in by_dim.values():
-        faces.sort()
-    top = max(by_dim)
-    ranks = {}
-    bnd = {}
-    for d in range(0, top + 2):
-        bnd[d] = boundary_rank(by_dim.get(d - 1, []), by_dim.get(d, []), field, prime)
-    for d in range(-1, top + 1):
-        ranks[d] = len(by_dim.get(d, [])) - bnd.get(d, 0) - bnd.get(d + 1, 0)
-    return {d: r for d, r in ranks.items() if r}
-
-
 def betti_table(
     a: MonomialIdeal,
     field: str = "rational",
@@ -197,8 +155,12 @@ def betti_table(
         member = _membership_masks(b, support, rows)
         if _is_cone_masked(member, len(support)):
             continue
+        faces = [
+            tuple(v for pos, v in enumerate(support) if mask >> pos & 1)
+            for mask in map(int, np.nonzero(member)[0])
+        ]
         mono = Monomial(b)
-        for d, rank in _homology_from_masks(member, support, field, prime).items():
+        for d, rank in reduced_homology(faces, field, prime).items():
             entries.append((d + 1, mono, rank))
     entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
     return BettiTable(a.nvars, field, used_prime, tuple(entries))
@@ -237,6 +199,7 @@ def hochster_betti_table(
         raise LimitExceeded(f"{len(ground)} variables exceed the {max_vars} oracle cap")
     ground_list = sorted(ground)
     nv = a.nvars
+    # faces of the complement complex with their vertex bitmasks
     faces = []
     for r in range(len(ground_list) + 1):
         for sub in itertools.combinations(ground_list, r):
@@ -244,15 +207,13 @@ def hochster_betti_table(
             for i in sub:
                 exps[i] = 1
             if not contains(a, Monomial(exps)):
-                faces.append(frozenset(sub))
-    delta = SimplicialComplex.from_faces(faces)
+                faces.append((sum(1 << i for i in sub), sub))
     entries: list[tuple[int, Monomial, int]] = []
     for r in range(1, len(ground_list) + 1):
         for sub in itertools.combinations(ground_list, r):
-            ranks = homology_ranks(delta.restrict(sub), field, prime)
-            for d, rank in ranks.items():
-                if not rank:
-                    continue
+            w = sum(1 << i for i in sub)
+            restricted = [f for m, f in faces if m & ~w == 0]
+            for d, rank in reduced_homology(restricted, field, prime).items():
                 i = len(sub) - d - 2
                 if i < 0:
                     continue
@@ -263,11 +224,6 @@ def hochster_betti_table(
     entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
     used_prime = prime if field == "prime" else None
     return BettiTable(nv, field, used_prime, tuple(entries))
-
-
-def quotient_graded_dimension(a: MonomialIdeal, degree: int) -> int:
-    """Count of degree-d monomials outside the ideal (k-dimension of S/a)_d."""
-    return sum(1 for m in monomials_of_degree(a.nvars, degree) if not contains(a, m))
 
 
 def socle_regularity(g: Graph, s: int) -> int:
@@ -285,49 +241,3 @@ def socle_regularity(g: Graph, s: int) -> int:
         if any(not contains(a, m) for m in monomials_of_degree(a.nvars, d)):
             return d
     return -1
-
-
-@dataclass(frozen=True)
-class BoundCheckResult:
-    s: int
-    nu_g: int
-    symbolic_quotient_reg: int
-    lower_bound: int
-    lower_ok: bool
-    colon_regs: tuple[int, ...]
-    nu_h: int | None
-    colon_ok: bool | None
-
-
-def bound_checks(
-    g: Graph,
-    s: int,
-    colon_ideals: Sequence[MonomialIdeal] = (),
-    nu_h: int | None = None,
-    **kwargs,
-) -> BoundCheckResult:
-    """Regularity lower bound for the symbolic power, plus colon upper bounds.
-
-    Checks quotient reg of I^(s) >= 2s + nu(G) - 2.  Optionally, for colon
-    ideals of the 'edge ideal plus variables' shape, checks quotient reg
-    <= nu(H) (the caller supplies nu_h from the hypotheses report).
-    """
-    nu_g = induced_matching_number(g)[0]
-    qreg = quotient_regularity(symbolic_power(g, s), **kwargs)
-    lower = 2 * s + nu_g - 2
-    colon_regs = tuple(quotient_regularity(q, **kwargs) for q in colon_ideals)
-    colon_ok: bool | None = None
-    if colon_ideals:
-        if nu_h is None:
-            raise ValueError("colon bound needs nu_h")
-        colon_ok = all(r <= nu_h for r in colon_regs)
-    return BoundCheckResult(
-        s=s,
-        nu_g=nu_g,
-        symbolic_quotient_reg=qreg,
-        lower_bound=lower,
-        lower_ok=qreg >= lower,
-        colon_regs=colon_regs,
-        nu_h=nu_h,
-        colon_ok=colon_ok,
-    )

@@ -17,7 +17,7 @@ from .betti import betti_table
 from .errors import GraphFormatError, LimitExceeded
 from .graphs import parse_graph_text
 from .monomials import alpha_degree
-from .reports import FORMATS, SUITE_NAMES, RunConfig, emit_report, exit_code
+from .reports import FORMATS, SUITE_NAMES, RunConfig, emit_report, exit_code, is_prime
 from .suites import GraphInstance, default_instances, run_suite
 from .symbolic import CycleDecomposition, asymptotic_invariants, symbolic_power
 
@@ -35,32 +35,6 @@ def _parse_field(value: str) -> tuple[str, int]:
         )
 
 
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
-    a strong probable-prime test above."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2:
-        return False
-    if p in bases:
-        return True
-    if any(p % q == 0 for q in bases):
-        return False
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _usage_error(args) -> str | None:
     """The first invalid option value shared by the verbs, or None."""
     if args.s_min < 1:
@@ -72,7 +46,7 @@ def _usage_error(args) -> str | None:
         if value < 1:
             return f"{flag} must be at least 1, not {value}"
     field = getattr(args, "field", ("rational", 0))
-    if field[0] == "prime" and not _is_prime(field[1]):
+    if field[0] == "prime" and not is_prime(field[1]):
         return f"--field {field[1]} is not a prime"
     return None
 

@@ -1,5 +1,5 @@
 """Edge factorizations, edge-wise lexicographic ordering, even-connection
-colons, and the mechanical ordering/colon/regularity-chain checks.
+colons, and the mechanical ordering and colon-chain checks.
 
 A generator of the s-th power of an edge ideal is a product of s edges,
 usually in several ways; each way is an expression.  Expressions are
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .betti import regularity
 from .errors import LimitExceeded
-from .graphs import Graph, check_hypotheses
+from .graphs import Graph
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -288,36 +287,6 @@ def maximal_expression(
 
 
 @dataclass(frozen=True)
-class Comparison:
-    verdict: str
-    left: EdgeFactorization
-    right: EdgeFactorization
-    order_label: str
-
-
-def edgelex_compare(
-    a: Monomial,
-    b: Monomial,
-    g: Graph,
-    s: int,
-    r: int = 0,
-    order: EdgeOrder | None = None,
-) -> Comparison:
-    """Compare two generators of I^s * m^r through their best expressions."""
-    order = order or EdgeOrder.for_graph(g)
-    for m in (a, b):
-        if m.degree() != 2 * s + r:
-            raise ValueError(
-                f"{m.render()} has degree {m.degree()}, generators have {2 * s + r}"
-            )
-    fa = maximal_expression(a, g, s, order)
-    fb = maximal_expression(b, g, s, order)
-    ka, kb = expression_key(fa, order), expression_key(fb, order)
-    verdict = "greater" if ka > kb else ("less" if ka < kb else "equal")
-    return Comparison(verdict, fa, fb, order.label)
-
-
-@dataclass(frozen=True)
 class GeneratorOrdering:
     """Minimal generators of I^s * m^r, greatest first, with expressions."""
 
@@ -474,7 +443,6 @@ class EvenColonResult:
     witness: Monomial | None
     witness_side: str | None
     pairs: tuple[tuple[int, int], ...]
-    report: VerificationReport
 
 
 def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult:
@@ -513,23 +481,6 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
     side = None
     if not matches:
         side = "walk-built colon only" if diff[1] == "left" else "direct colon only"
-    instance = describe_instance(g, s=s, label=f"u={u.render()}")
-    if matches:
-        report = VerificationReport(
-            suite="banerjee",
-            check="colon-equivalence",
-            instance=instance,
-            status="pass",
-            details=f"{len(pair_set)} connected pairs, {len(facs)} factorizations",
-        )
-    else:
-        report = VerificationReport(
-            suite="banerjee",
-            check="colon-equivalence",
-            instance=instance,
-            status="fail",
-            witnesses=(f"{witness.render()} in {side}",),
-        )
     return EvenColonResult(
         built=built,
         direct=direct,
@@ -537,7 +488,6 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
         witness=witness,
         witness_side=side,
         pairs=tuple(sorted(pair_set)),
-        report=report,
     )
 
 
@@ -775,54 +725,4 @@ def verify_colon_chain(g: Graph, cd: CycleDecomposition, s: int) -> Verification
         status="pass",
         details=f"{checks} colon checks across {k} layers",
         config=config,
-    )
-
-
-def verify_reg_chain(
-    g: Graph, cd: CycleDecomposition, s: int, **betti_kwargs
-) -> VerificationReport:
-    """Regularity stays constant along the partial sums of the layers."""
-    instance = describe_instance(g, cd.cycles, s=s, label="reg-chain")
-    if not cd.single_cycle:
-        return VerificationReport(
-            suite="regularity",
-            check="reg-chain",
-            instance=instance,
-            status="skipped",
-            reason="needs a single designated cycle",
-        )
-    hyp = check_hypotheses(g, cd.cycles[0])
-    if not hyp.gap_at_least_3:
-        return VerificationReport(
-            suite="regularity",
-            check="reg-chain",
-            instance=instance,
-            status="skipped",
-            reason="nu(G)-nu(H) < 3",
-        )
-    n = cd.n
-    k, _ = layer_index(s, n)
-    target = regularity(ordinary_power(g, s), **betti_kwargs)
-    terms = _layer_terms(g, cd, s)
-    partial: MonomialIdeal | None = None
-    for t in range(k + 1):
-        partial = terms[t] if partial is None else ideal_sum(partial, terms[t])
-        rt = regularity(partial, **betti_kwargs)
-        if rt != target:
-            return VerificationReport(
-                suite="regularity",
-                check="reg-chain",
-                instance=instance,
-                status="fail",
-                witnesses=(
-                    f"partial sum through layer {t} has regularity {rt}, "
-                    f"power has {target}",
-                ),
-            )
-    return VerificationReport(
-        suite="regularity",
-        check="reg-chain",
-        instance=instance,
-        status="pass",
-        details=f"regularity {target} across chain of length {k + 1}",
     )

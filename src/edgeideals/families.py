@@ -64,12 +64,6 @@ def three_triangles() -> tuple[Graph, tuple[CycleCertificate, ...]]:
     return g, cycles
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    off = a.vertex_count
-    edges = list(a.edges) + [(u + off, v + off) for u, v in b.edges]
-    return Graph(a.vertex_count + b.vertex_count, edges)
-
-
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v)

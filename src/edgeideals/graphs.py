@@ -362,88 +362,6 @@ def odd_cycles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> CycleData:
     return CycleData(odd_cycles=tuple(odd), all_cycle_count=len(cycles), on_cycle=tuple(on))
 
 
-def parallelization(
-    g: Graph, weights: Sequence[int]
-) -> tuple[Graph, tuple[int, ...]]:
-    """The graph G(v): vertex i deleted when v_i = 0, duplicated v_i - 1 times.
-
-    Returns the new graph and a map new_index (1-based position) -> old vertex.
-    Copies of adjacent vertices are adjacent; copies of one vertex are not.
-    """
-    if len(weights) != g.vertex_count:
-        raise ValueError("weight vector length must equal the vertex count")
-    if any(int(w) < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    new_to_old: list[int] = []
-    for v in g.vertices:
-        new_to_old.extend([v] * int(weights[v - 1]))
-    pos_of: dict[int, list[int]] = {}
-    for i, old in enumerate(new_to_old):
-        pos_of.setdefault(old, []).append(i + 1)
-    edges = []
-    for u, v in g.edges:
-        for a in pos_of.get(u, ()):
-            for b in pos_of.get(v, ()):
-                edges.append((a, b))
-    return Graph(len(new_to_old), edges), tuple(new_to_old)
-
-
-@dataclass(frozen=True)
-class DecompositionWitness:
-    decomposable: bool
-    parts: tuple[tuple[int, ...], ...] | None
-
-
-def decomposability(
-    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> DecompositionWitness:
-    """Search for a partition V = V_1 | ... | V_r with sum alpha(G_i) = alpha(G), r >= 2.
-
-    A two-part witness suffices: alpha is subadditive over any partition, so
-    merging parts of a finer witness preserves equality.  The search runs
-    over bipartitions with vertex 1 pinned to the first part.
-    """
-    _check_bound(g, max_vertices)
-    n = g.vertex_count
-    if n < 2:
-        return DecompositionWitness(False, None)
-    adj = _adjacency_masks(g)
-    full = (1 << n) - 1
-    memo: dict[int, int] = {0: 0}
-
-    def mis(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        low = mask & -mask
-        v = low.bit_length() - 1
-        out = mis(mask & ~low)
-        take = 1 + mis(mask & ~(adj[v] | low))
-        if take > out:
-            out = take
-        memo[mask] = out
-        return out
-
-    def alpha(mask: int) -> int:
-        return _popcount(mask) - mis(mask)
-
-    total = alpha(full)
-    # vertex 1 (bit 0) pinned into part one; iterate the rest of part one
-    rest = full & ~1
-    sub = rest
-    while True:
-        part1 = sub | 1
-        part2 = full & ~part1
-        if part2 and alpha(part1) + alpha(part2) == total:
-            p1 = tuple(i + 1 for i in _bits(part1))
-            p2 = tuple(i + 1 for i in _bits(part2))
-            return DecompositionWitness(True, (p1, p2))
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return DecompositionWitness(False, None)
-
-
 @dataclass(frozen=True)
 class HypothesesReport:
     """Structural facts about (G, C) used by the regularity statements."""

@@ -1,8 +1,10 @@
-"""Simplicial complexes with exact reduced homology ranks.
+"""Exact rank engines and the one reduced-homology routine.
 
-Complexes are stored by their inclusion-maximal faces.  The void complex
-(no faces at all) and the irrelevant complex {emptyset} are distinct
-objects: the latter has reduced homology of rank one in dimension -1.
+A complex is given by the list of all its faces, each a sorted vertex
+tuple.  The void complex (no faces at all) and the irrelevant complex
+{emptyset} differ: the latter has reduced homology of rank one in
+dimension -1.  The Betti engine and the Hochster oracle both call
+`reduced_homology`.
 
 Ranks of boundary maps are computed either over the rationals, by integer
 row elimination with cross-multiplication and gcd stripping (no floating
@@ -11,99 +13,10 @@ point, no fraction blowup), or over a prime field.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
 DEFAULT_PRIME = 32003
-
-
-def _maximalize(faces: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    distinct = set(faces)
-    kept = [f for f in distinct if not any(f < g for g in distinct)]
-    return tuple(sorted(kept, key=lambda f: (len(f), sorted(f))))
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A finite simplicial complex; faces are frozensets of integer labels."""
-
-    maximal_faces: tuple[frozenset, ...]
-
-    @classmethod
-    def from_faces(cls, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        return cls(_maximalize(frozenset(f) for f in faces))
-
-    @classmethod
-    def void(cls) -> "SimplicialComplex":
-        return cls(())
-
-    @classmethod
-    def irrelevant(cls) -> "SimplicialComplex":
-        return cls((frozenset(),))
-
-    @property
-    def is_void(self) -> bool:
-        return not self.maximal_faces
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.maximal_faces == (frozenset(),)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for f in self.maximal_faces:
-            out |= f
-        return tuple(sorted(out))
-
-    @property
-    def dimension(self) -> int:
-        """Top face dimension; -1 for {emptyset}.  Void complex -> ValueError."""
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(len(f) for f in self.maximal_faces) - 1
-
-    def contains_face(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        return any(fs <= m for m in self.maximal_faces)
-
-    def faces(self, dim: int) -> list[tuple[int, ...]]:
-        """All faces of the given dimension as sorted vertex tuples."""
-        if dim < -1 or self.is_void:
-            return []
-        if dim == -1:
-            return [()]
-        size = dim + 1
-        out: set[tuple[int, ...]] = set()
-        for m in self.maximal_faces:
-            if len(m) >= size:
-                out.update(itertools.combinations(sorted(m), size))
-        return sorted(out)
-
-    def f_vector(self) -> list[int]:
-        """Counts (f_{-1}, f_0, ..., f_top); empty list for the void complex."""
-        if self.is_void:
-            return []
-        return [len(self.faces(d)) for d in range(-1, self.dimension + 1)]
-
-    @property
-    def is_cone(self) -> bool:
-        """True when one vertex lies in every maximal face (contractible)."""
-        if self.is_void or self.is_irrelevant:
-            return False
-        apex_candidates = set(self.maximal_faces[0])
-        for m in self.maximal_faces[1:]:
-            apex_candidates &= m
-            if not apex_candidates:
-                return False
-        return True
-
-    def restrict(self, vertices: Iterable[int]) -> "SimplicialComplex":
-        """Induced subcomplex on a vertex subset (faces contained in it)."""
-        w = frozenset(vertices)
-        return SimplicialComplex(_maximalize(m & w for m in self.maximal_faces))
 
 
 def _strip_gcd(row: dict) -> None:
@@ -232,37 +145,28 @@ def boundary_rank(
     raise ValueError(f"unknown field {field!r}")
 
 
-def homology_ranks(
-    c: SimplicialComplex,
+def reduced_homology(
+    faces: Iterable[tuple[int, ...]],
     field: str = "rational",
     prime: int = DEFAULT_PRIME,
 ) -> dict[int, int]:
-    """Reduced homology ranks by dimension, from -1 up to dim(c).
+    """Nonzero reduced homology ranks by dimension of a complex given by its faces.
 
-    Void complex -> empty dict.  Uses rank H~_d = f_d - rank d_d - rank d_{d+1}
-    with the augmentation map to the empty face included.
+    `faces` lists every face once as a sorted vertex tuple, the empty face
+    included, so the augmentation map is part of the chain complex:
+    rank H~_d = f_d - rank d_d - rank d_{d+1}.  No faces at all is the void
+    complex, with no homology; [()] is {emptyset}, with rank one in dimension -1.
     """
-    if c.is_void:
-        return {}
-    top = c.dimension
-    faces_by_dim = {d: c.faces(d) for d in range(-1, top + 1)}
-    faces_by_dim[top + 1] = []
-    ranks = {}
-    bnd = {}  # d -> rank of boundary from dim d to dim d-1
-    for d in range(0, top + 2):
-        bnd[d] = boundary_rank(
-            faces_by_dim[d - 1], faces_by_dim.get(d, []), field, prime
-        )
-    for d in range(-1, top + 1):
-        ranks[d] = len(faces_by_dim[d]) - bnd.get(d, 0) - bnd.get(d + 1, 0)
-    return ranks
-
-
-def reduced_euler_characteristic(c: SimplicialComplex) -> int:
-    """Alternating face-count sum starting at the empty face; 0 for void."""
-    if c.is_void:
-        return 0
-    total = 0
-    for d, count in enumerate(c.f_vector(), start=-1):
-        total += count if d % 2 == 0 else -count
-    return total
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for face in faces:
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    for group in by_dim.values():
+        group.sort()
+    bnd = {
+        d: boundary_rank(by_dim.get(d - 1, []), group, field, prime)
+        for d, group in by_dim.items()
+    }
+    ranks = {
+        d: len(group) - bnd[d] - bnd.get(d + 1, 0) for d, group in by_dim.items()
+    }
+    return {d: r for d, r in sorted(ranks.items()) if r}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -7,14 +8,11 @@ import pytest
 from edgeideals import betti
 from edgeideals.betti import (
     betti_table,
-    bound_checks,
     hochster_betti_table,
     lcm_closure,
-    quotient_graded_dimension,
     quotient_regularity,
     regularity,
     socle_regularity,
-    upper_koszul_complex,
 )
 from edgeideals.errors import LimitExceeded
 from edgeideals.families import (
@@ -26,7 +24,7 @@ from edgeideals.families import (
     three_triangles,
 )
 from edgeideals.graphs import induced_matching_number
-from edgeideals.homology import homology_ranks, reduced_euler_characteristic
+from edgeideals.homology import reduced_homology
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
@@ -43,23 +41,53 @@ from edgeideals.symbolic import edge_ideal, ordinary_power, symbolic_power
 _SEED = 90217
 
 
+def _upper_koszul_faces(a: MonomialIdeal, b: Monomial) -> list[tuple[int, ...]]:
+    """Faces t of supp(b) with x^(b-t) in a, by direct membership tests."""
+    faces = []
+    for r in range(len(b.support()) + 1):
+        for sub in itertools.combinations(b.support(), r):
+            reduced = list(b)
+            for i in sub:
+                reduced[i] -= 1
+            if contains(a, Monomial(reduced)):
+                faces.append(sub)
+    return faces
+
+
+def _engine_complex(a: MonomialIdeal, b: Monomial):
+    """The engine's membership array at b, as faces, and whether it prunes it."""
+    support = b.support()
+    member = betti._membership_masks(tuple(b), support, a.exponent_matrix())
+    faces = [
+        tuple(v for pos, v in enumerate(support) if mask >> pos & 1)
+        for mask in range(len(member))
+        if member[mask]
+    ]
+    return faces, betti._is_cone_masked(member, len(support))
+
+
 def test_upper_koszul_small_cases():
     a = parse_ideal("x1", 1)
-    assert upper_koszul_complex(a, parse_monomial("x1", 1)).is_irrelevant
+    x1 = parse_monomial("x1", 1)
+    assert _upper_koszul_faces(a, x1) == [()]
+    assert _engine_complex(a, x1) == ([()], False)
+    assert reduced_homology([()]) == {-1: 1}
 
     b = parse_ideal("x1*x2", 2)
-    assert upper_koszul_complex(b, parse_monomial("x1*x2", 2)).is_irrelevant
-    # off a generator multidegree the complex is a cone (here: contains x1)
-    cone = upper_koszul_complex(b, parse_monomial("x1^2*x2", 2))
-    assert cone.is_cone
+    assert _engine_complex(b, parse_monomial("x1*x2", 2)) == ([()], False)
+    # off a generator multidegree the complex is a cone (here: on x1)
+    off = parse_monomial("x1^2*x2", 2)
+    faces, pruned = _engine_complex(b, off)
+    assert sorted(faces) == sorted(_upper_koszul_faces(b, off)) == [(), (0,)]
+    assert pruned and reduced_homology(faces) == {}
 
     tri = edge_ideal(complete_graph(3))
-    points = upper_koszul_complex(tri, parse_monomial("x1*x2*x3", 3))
-    assert points.f_vector() == [1, 3]
-    assert homology_ranks(points) == {-1: 0, 0: 2}
-
-    with pytest.raises(ValueError):
-        upper_koszul_complex(MonomialIdeal.zero(2), parse_monomial("x1", 2))
+    top = parse_monomial("x1*x2*x3", 3)
+    faces, pruned = _engine_complex(tri, top)
+    assert sorted(faces) == sorted(_upper_koszul_faces(tri, top))
+    assert sorted(len(f) for f in faces) == [0, 1, 1, 1]
+    assert not pruned
+    assert reduced_homology(faces) == {0: 2}
 
 
 def test_lcm_closure_triangle():
@@ -135,6 +163,19 @@ def test_forest_quotient_regularity_is_induced_matching_number():
         assert quotient_regularity(edge_ideal(g)) == nu, g.render()
 
 
+def _random_squarefree_ideal(rng: random.Random) -> MonomialIdeal:
+    """Squarefree ideal on 2-7 variables, generators of degree 1-4, not an edge ideal."""
+    while True:
+        n = rng.randint(2, 7)
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            support = rng.sample(range(n), rng.randint(1, min(4, n)))
+            gens.append(Monomial(tuple(int(i in support) for i in range(n))))
+        a = MonomialIdeal(n, gens)
+        if any(g.degree() != 2 for g in a.gens):
+            return a
+
+
 def test_engine_matches_hochster_oracle():
     rng = random.Random(_SEED + 2)
     graphs = [
@@ -152,6 +193,12 @@ def test_engine_matches_hochster_oracle():
     for g in graphs:
         a = edge_ideal(g)
         assert betti_table(a).entries == hochster_betti_table(a).entries, g.render()
+    # the engine is not specific to edge ideals: other squarefree ideals, two fields
+    for _ in range(25):
+        a = _random_squarefree_ideal(rng)
+        for kwargs in ({}, {"field": "prime", "prime": 2}):
+            got = betti_table(a, **kwargs).entries
+            assert got == hochster_betti_table(a, **kwargs).entries, (a.render(), kwargs)
 
 
 def test_prime_field_agrees_on_small_graphs():
@@ -168,13 +215,17 @@ def test_prime_field_agrees_on_small_graphs():
 
 
 def test_euler_characteristic_per_multidegree():
+    # the engine's per-multidegree complexes match direct membership tests,
+    # and their homology has the alternating face count as Euler characteristic
     for a in (edge_ideal(cycle_graph(5)), ordinary_power(cycle_graph(5), 2)):
         degrees = lcm_closure(a.exponent_matrix())
         for b in degrees[:40]:
-            complex_ = upper_koszul_complex(a, Monomial(b))
-            ranks = homology_ranks(complex_)
+            mono = Monomial(b)
+            faces, _ = _engine_complex(a, mono)
+            assert sorted(faces) == sorted(_upper_koszul_faces(a, mono))
+            ranks = reduced_homology(faces)
             alt = sum(r if d % 2 == 0 else -r for d, r in ranks.items())
-            assert reduced_euler_characteristic(complex_) == alt
+            assert sum(1 if len(f) % 2 == 1 else -1 for f in faces) == alt
 
 
 def test_regularity_at_least_alpha():
@@ -220,15 +271,6 @@ def test_resource_caps():
         betti_table(a, max_support=2)
 
 
-def test_quotient_graded_dimension():
-    a = variable_power_ideal(3, range(3), 2)
-    assert quotient_graded_dimension(a, 0) == 1
-    assert quotient_graded_dimension(a, 1) == 3
-    assert quotient_graded_dimension(a, 2) == 0
-    b = edge_ideal(path_graph(2))
-    assert quotient_graded_dimension(b, 2) == 2  # x1^2 and x2^2 survive
-
-
 def test_socle_regularity():
     assert socle_regularity(cycle_graph(5), 1) == 1
     assert socle_regularity(cycle_graph(5), 2) == 3
@@ -255,22 +297,3 @@ def test_socle_regularity_reports_a_wrong_symbolic_power(monkeypatch):
     assert socle_regularity(three_triangles()[0], 3) == 4
     monkeypatch.setattr(betti, "symbolic_power", lambda g, s: MonomialIdeal.unit(g.vertex_count))
     assert socle_regularity(cycle_graph(5), 2) == -1
-
-
-def test_bound_checks_cycle():
-    res = bound_checks(cycle_graph(5), 2)
-    assert res.nu_g == 1
-    assert res.lower_bound == 3
-    assert res.symbolic_quotient_reg >= 3
-    assert res.lower_ok
-    assert res.colon_regs == () and res.colon_ok is None
-    with pytest.raises(ValueError):
-        bound_checks(cycle_graph(5), 1, colon_ideals=(edge_ideal(cycle_graph(5)),))
-
-
-def test_bound_checks_with_colon_ideals():
-    g = path_graph(5)
-    colon = edge_ideal(g)
-    res = bound_checks(g, 1, colon_ideals=(colon,), nu_h=2)
-    assert res.colon_regs == (2,)
-    assert res.colon_ok

@@ -180,11 +180,21 @@ def test_large_prime_field_accepted(c5_file, capsys):
     assert "regularity 3 (prime)" in capsys.readouterr().out
 
 
-def test_regularity_suite_report_bytes_pinned(tmp_path):
-    # sha256 of this report as produced before the suite shared one Betti
-    # table per ideal; these bytes may only change on purpose.
-    out = tmp_path / "reg.json"
-    args = ["check", "--format", "json", "--suite", "regularity", "--s-max", "2"]
+@pytest.mark.parametrize(
+    "suite_args, want",
+    [
+        (
+            ["--suite", "regularity"],
+            "64dc02e722ca4285c8a39ed999f1b0ef6b7acd2424237bb978ae435940fb2720",
+        ),
+        ([], "743c1b92ef16d977e8a5adc64a06fed310f62be1aa796dd457145249467a0601"),
+    ],
+    ids=["regularity", "all-suites"],
+)
+def test_regularity_suite_report_bytes_pinned(tmp_path, suite_args, want):
+    # sha256 of these reports; the bytes may only change on purpose.
+    out = tmp_path / "report.json"
+    args = ["check", "--format", "json", *suite_args, "--s-max", "2"]
     assert main(args + ["--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "64dc02e722ca4285c8a39ed999f1b0ef6b7acd2424237bb978ae435940fb2720"
+    assert digest == want

@@ -20,7 +20,6 @@ from edgeideals.graphs import (
     CycleCertificate,
     Graph,
     check_hypotheses,
-    decomposability,
     dominating_odd_cycles,
     induced_matching_number,
     induced_subgraph,
@@ -28,7 +27,6 @@ from edgeideals.graphs import (
     minimal_vertex_covers,
     neighborhoods,
     odd_cycles,
-    parallelization,
     parse_graph_text,
     render_graph_text,
 )
@@ -191,56 +189,6 @@ def test_induced_subgraph_relabels():
     sub, amap = induced_subgraph(g, [6, 7, 2])
     assert amap == {2: 1, 6: 2, 7: 3}
     assert sub.edges == ((2, 3),)
-
-
-def test_parallelization():
-    star, new_to_old = parallelization(Graph(2, [(1, 2)]), (2, 1))
-    assert new_to_old == (1, 1, 2)
-    assert star.edges == ((1, 3), (2, 3))
-    p4, _ = parallelization(cycle_graph(5), (0, 1, 1, 1, 1))
-    assert p4.edges == ((1, 2), (2, 3), (3, 4))
-    with pytest.raises(ValueError):
-        parallelization(Graph(2, [(1, 2)]), (1,))
-
-
-def test_decomposability():
-    assert not decomposability(Graph(2, [(1, 2)])).decomposable
-    assert not decomposability(cycle_graph(5)).decomposable
-    got = decomposability(cycle_graph(4))
-    assert got.decomposable
-    parts = got.parts
-    assert len(parts) == 2 and sorted(parts[0] + parts[1]) == [1, 2, 3, 4]
-    # isolated vertex can always be split off
-    assert decomposability(Graph(3, [(1, 2)])).decomposable
-
-
-def test_decomposability_matches_alpha_arithmetic():
-    rng = random.Random(_SEED + 3)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(2, 7), 0.45)
-        got = decomposability(g)
-        alpha = minimal_vertex_covers(g).alpha
-        if got.decomposable:
-            total = 0
-            for part in got.parts:
-                sub, _ = induced_subgraph(g, part)
-                total += minimal_vertex_covers(sub).alpha
-            assert total == alpha
-        else:
-            # exhaustive bipartition check agrees
-            n = g.vertex_count
-            for r in range(1, n):
-                for sub in itertools.combinations(range(2, n + 1), r - 1):
-                    part1 = (1,) + sub
-                    part2 = tuple(v for v in range(1, n + 1) if v not in part1)
-                    if not part2:
-                        continue
-                    s1, _ = induced_subgraph(g, part1)
-                    s2, _ = induced_subgraph(g, part2)
-                    assert (
-                        minimal_vertex_covers(s1).alpha + minimal_vertex_covers(s2).alpha
-                        != alpha
-                    )
 
 
 def test_check_hypotheses_gap_instances():

@@ -1,17 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
-import pytest
 
+from edgeideals.betti import _is_cone_masked
 from edgeideals.homology import (
-    SimplicialComplex,
     boundary_rank,
-    homology_ranks,
     rank_mod_p,
     rank_rational,
-    reduced_euler_characteristic,
+    reduced_homology,
 )
 
 _SEED = 77141
@@ -23,92 +22,83 @@ _RP2 = [
 ]
 
 
-def test_complex_basics():
-    c = SimplicialComplex.from_faces([(1, 2), (2, 3), (3,), ()])
-    assert c.maximal_faces == (frozenset({1, 2}), frozenset({2, 3}))
-    assert c.vertices == (1, 2, 3)
-    assert c.dimension == 1
-    assert c.contains_face((2,)) and not c.contains_face((1, 3))
-    assert c.faces(0) == [(1,), (2,), (3,)]
-    assert c.faces(-1) == [()]
-    assert c.f_vector() == [1, 3, 2]
+def _closure(maximal) -> list[tuple[int, ...]]:
+    """Every face of the complex with these maximal faces, the empty face included."""
+    faces = set()
+    for m in maximal:
+        m = sorted(m)
+        for r in range(len(m) + 1):
+            faces.update(itertools.combinations(m, r))
+    return sorted(faces, key=lambda f: (len(f), f))
 
-    void = SimplicialComplex.void()
-    assert void.is_void and not void.is_irrelevant
-    assert void.f_vector() == []
-    with pytest.raises(ValueError):
-        void.dimension
 
-    point = SimplicialComplex.irrelevant()
-    assert point.is_irrelevant and not point.is_void
-    assert point.dimension == -1
+def _masks(faces, k: int) -> np.ndarray:
+    """The engine's membership array over subsets of k vertices 0..k-1."""
+    member = np.zeros(1 << k, dtype=bool)
+    for f in faces:
+        member[sum(1 << v for v in f)] = True
+    return member
 
 
 def test_cone_detection():
-    assert SimplicialComplex.from_faces([(1, 2, 3)]).is_cone
-    assert SimplicialComplex.from_faces([(1, 2), (1, 3)]).is_cone
-    assert not SimplicialComplex.from_faces([(1, 2), (3,)]).is_cone
-    hollow = SimplicialComplex.from_faces([(1, 2), (2, 3), (1, 3)])
-    assert not hollow.is_cone
-    assert not SimplicialComplex.void().is_cone
-    assert not SimplicialComplex.irrelevant().is_cone
-
-
-def test_restrict():
-    c = SimplicialComplex.from_faces(_RP2)
-    sub = c.restrict((1, 2, 3))
-    assert sub.maximal_faces == (frozenset({1, 2, 3}),)
-    assert c.restrict(()).is_irrelevant
+    # the Betti engine prunes cones (no reduced homology) before calling reduced_homology
+    cones = [[(0, 1, 2)], [(0, 1), (0, 2)]]
+    others = [[(0, 1), (2,)], [(0, 1), (1, 2), (0, 2)], [()]]
+    for maximal in cones:
+        assert _is_cone_masked(_masks(_closure(maximal), 3), 3), maximal
+        assert reduced_homology(_closure(maximal)) == {}
+    for maximal in others:
+        assert not _is_cone_masked(_masks(_closure(maximal), 3), 3), maximal
+    assert not _is_cone_masked(_masks([], 3), 3)  # void complex
 
 
 def test_homology_classic_spaces():
-    hollow = SimplicialComplex.from_faces([(1, 2), (2, 3), (1, 3)])
-    assert homology_ranks(hollow) == {-1: 0, 0: 0, 1: 1}
+    hollow = _closure([(1, 2), (2, 3), (1, 3)])
+    assert reduced_homology(hollow) == {1: 1}
 
-    two_points = SimplicialComplex.from_faces([(1,), (2,)])
-    assert homology_ranks(two_points) == {-1: 0, 0: 1}
+    two_points = _closure([(1,), (2,)])
+    assert reduced_homology(two_points) == {0: 1}
 
-    simplex = SimplicialComplex.from_faces([(1, 2, 3, 4)])
-    assert all(r == 0 for r in homology_ranks(simplex).values())
+    simplex = _closure([(1, 2, 3, 4)])
+    assert reduced_homology(simplex) == {}
 
-    sphere = SimplicialComplex.from_faces(
-        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    )
-    assert homology_ranks(sphere) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    sphere = _closure([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+    assert reduced_homology(sphere) == {2: 1}
 
-    assert homology_ranks(SimplicialComplex.irrelevant()) == {-1: 1}
-    assert homology_ranks(SimplicialComplex.void()) == {}
+    assert reduced_homology([()]) == {-1: 1}
+    assert reduced_homology([]) == {}
 
     # hollow triangle plus two isolated vertices
-    mixed = SimplicialComplex.from_faces([(1, 2), (2, 3), (1, 3), (7,), (8,)])
-    assert homology_ranks(mixed) == {-1: 0, 0: 2, 1: 1}
+    mixed = _closure([(1, 2), (2, 3), (1, 3), (7,), (8,)])
+    assert reduced_homology(mixed) == {0: 2, 1: 1}
 
 
 def test_projective_plane_torsion():
-    rp2 = SimplicialComplex.from_faces(_RP2)
-    assert homology_ranks(rp2, field="rational") == {-1: 0, 0: 0, 1: 0, 2: 0}
+    rp2 = _closure(_RP2)
+    assert reduced_homology(rp2, field="rational") == {}
     # mod 2 the top class and the 1-cycle appear
-    assert homology_ranks(rp2, field="prime", prime=2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert reduced_homology(rp2, field="prime", prime=2) == {1: 1, 2: 1}
     # a large prime behaves like characteristic zero here
-    assert homology_ranks(rp2, field="prime", prime=32003) == homology_ranks(rp2)
+    assert reduced_homology(rp2, field="prime", prime=32003) == {}
 
 
-def _random_complex(rng: random.Random) -> SimplicialComplex:
+def _random_complex(rng: random.Random) -> list[tuple[int, ...]]:
     n = rng.randint(1, 6)
     faces = []
     for _ in range(rng.randint(1, 8)):
         size = rng.randint(1, min(4, n))
         faces.append(tuple(rng.sample(range(1, n + 1), size)))
-    return SimplicialComplex.from_faces(faces)
+    return _closure(faces)
 
 
 def test_euler_characteristic_matches_homology():
     rng = random.Random(_SEED)
     for _ in range(40):
-        c = _random_complex(rng)
-        ranks = homology_ranks(c)
+        faces = _random_complex(rng)
+        rng.shuffle(faces)  # face order must not matter
+        ranks = reduced_homology(faces)
         alt = sum(r if d % 2 == 0 else -r for d, r in ranks.items())
-        assert reduced_euler_characteristic(c) == alt
+        assert sum(1 if len(f) % 2 == 1 else -1 for f in faces) == alt
 
 
 def test_rank_engines_match_numpy():

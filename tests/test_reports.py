@@ -61,6 +61,10 @@ def test_run_config_validation():
         RunConfig(field="padic")
     with pytest.raises(ValueError):
         RunConfig(output_format="yaml")
+    # the CLI's --field check uses the same primality test
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        RunConfig(field="prime", prime=4)
+    assert RunConfig(field="prime", prime=32003).prime == 32003
     echo = dict(RunConfig(seed=7).echo())
     assert echo["seed"] == "7"
     assert echo["field"] == "rational"
