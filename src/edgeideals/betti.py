@@ -2,20 +2,23 @@
 
 beta_{i,b}(a) is the rank of reduced homology in dimension i-1 of the
 upper-Koszul complex of a at the multidegree b.  Candidate multidegrees are
-the closure of the generator exponent vectors under coordinatewise max
-(every nonzero Betti multidegree is an lcm of generators).  Per multidegree
-the complex lives on supp(b): its faces are bitmasks over the support,
-cones are pruned before any matrix work, and the rest go to
-`homology.reduced_homology` as face tuples.  The Hochster oracle computes
-squarefree tables through the same routine, from a different complex.
+the closure of the packed generators under lcm (every nonzero Betti
+multidegree is an lcm of generators).  Per multidegree the complex lives on
+supp(b) and is down-closed: a face is any subset of supp(b / g) for a
+generator g dividing b, so its facets are the maximal such supports, kept as
+int bitmasks.  It is a cone, with no reduced homology, iff one vertex lies
+in every facet, i.e. the AND of the facets is nonzero; only the rest have
+their faces enumerated and go to `homology.reduced_homology` as face tuples.
+The Hochster oracle computes squarefree tables through the same routine,
+from a different complex.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import and_
 
 from .errors import LimitExceeded
 from .graphs import Graph
@@ -23,6 +26,12 @@ from .homology import DEFAULT_PRIME, reduced_homology
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _degree,
+    _guard,
+    _lcms,
+    _quotient_supports,
+    _unpack,
+    _variables,
     contains,
     monomials_of_degree,
 )
@@ -33,23 +42,22 @@ DEFAULT_MAX_CLOSURE = 20000
 DEFAULT_MAX_SUPPORT = 16
 
 
-def lcm_closure(mat: np.ndarray, cap: int = DEFAULT_MAX_CLOSURE) -> list[tuple[int, ...]]:
-    """Close generator exponent rows under coordinatewise max, deterministic order."""
-    base = np.asarray(mat, dtype=np.int64)
-    seen = {tuple(map(int, r)) for r in base}
-    frontier = list(seen)
+def lcm_closure(a: MonomialIdeal, cap: int = DEFAULT_MAX_CLOSURE) -> list[int]:
+    """Close the packed generators of a under lcm, sorted by (degree, exponent vector)."""
+    guard = _guard(a.nvars)
+    base = a.packed
+    seen = set(base)
+    frontier = base
     while frontier:
-        f = np.array(frontier, dtype=np.int64)
-        cand = np.maximum(f[:, None, :], base[None, :, :]).reshape(-1, base.shape[1])
-        fresh = {tuple(map(int, r)) for r in cand.tolist()} - seen
+        fresh = _lcms(frontier, base, guard) - seen
         if len(seen) + len(fresh) > cap:
             raise LimitExceeded(
                 f"lcm closure exceeds {cap} multidegrees "
                 f"({len(seen)} found, {len(fresh)} pending)"
             )
         seen |= fresh
-        frontier = list(fresh)
-    return sorted(seen, key=lambda t: (sum(t), t))
+        frontier = fresh
+    return sorted(seen, key=lambda p: (_degree(p, a.nvars), p))
 
 
 @dataclass(frozen=True)
@@ -102,31 +110,31 @@ class BettiTable:
         }
 
 
-def _membership_masks(b: tuple[int, ...], support: list[int], rows: np.ndarray) -> np.ndarray:
-    """Boolean array over subsets of supp(b): x^(b-t) in the ideal."""
-    k = len(support)
-    taus = np.arange(1 << k, dtype=np.int64)
-    member = np.zeros(1 << k, dtype=bool)
-    barr = np.array(b, dtype=np.int64)
-    fits = np.all(rows <= barr, axis=1)
-    for g in rows[fits]:
-        allowed = 0
-        for pos, i in enumerate(support):
-            if b[i] - g[i] >= 1:
-                allowed |= 1 << pos
-        member |= (taus & ~allowed) == 0
-    return member
+def _facets(supports: set[int]) -> list[int]:
+    """The maximal masks among the supports: the facets of the complex they span."""
+    facets: list[int] = []
+    for m in sorted(supports, key=int.bit_count, reverse=True):
+        if all(m & f != m for f in facets):
+            facets.append(m)
+    return facets
 
 
-def _is_cone_masked(member: np.ndarray, k: int) -> bool:
-    masks = np.nonzero(member)[0]
-    if masks.size == 0:
-        return False
-    for pos in range(k):
-        bit = 1 << pos
-        if member[masks | bit].all():
-            return True
-    return False
+def _is_cone(facets: list[int]) -> bool:
+    """One vertex lies in every facet; the void complex (no facets) is no cone."""
+    return bool(facets) and reduce(and_, facets) != 0
+
+
+def _faces(facets: list[int]) -> set[int]:
+    """Every face of the complex: each submask of each facet, the empty one included."""
+    faces = set()
+    for f in facets:
+        sub = f
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    return faces
 
 
 def betti_table(
@@ -142,24 +150,22 @@ def betti_table(
     used_prime = prime if field == "prime" else None
     if a.is_unit:
         return BettiTable(a.nvars, field, used_prime, ((0, Monomial.unit(a.nvars), 1),))
-    if len(a.gens) > max_generators:
-        raise LimitExceeded(f"{len(a.gens)} generators exceed the {max_generators} cap")
-    rows = a.exponent_matrix()
+    if len(a) > max_generators:
+        raise LimitExceeded(f"{len(a)} generators exceed the {max_generators} cap")
+    nv = a.nvars
+    guard = _guard(nv)
     entries: list[tuple[int, Monomial, int]] = []
-    for b in lcm_closure(rows, max_closure):
-        support = [i for i, e in enumerate(b) if e]
+    for b in lcm_closure(a, max_closure):
+        support = _variables(b, nv)
         if len(support) > max_support:
             raise LimitExceeded(
                 f"multidegree support {len(support)} exceeds the {max_support} cap"
             )
-        member = _membership_masks(b, support, rows)
-        if _is_cone_masked(member, len(support)):
+        facets = _facets(_quotient_supports(b, a.packed, guard))
+        if _is_cone(facets):
             continue
-        faces = [
-            tuple(v for pos, v in enumerate(support) if mask >> pos & 1)
-            for mask in map(int, np.nonzero(member)[0])
-        ]
-        mono = Monomial(b)
+        faces = [_variables(f, nv) for f in _faces(facets)]
+        mono = _unpack(b, nv)
         for d, rank in reduced_homology(faces, field, prime).items():
             entries.append((d + 1, mono, rank))
     entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))

@@ -16,8 +16,9 @@ from pathlib import Path
 from .betti import betti_table
 from .errors import GraphFormatError, LimitExceeded
 from .graphs import parse_graph_text
+from .homology import is_prime
 from .monomials import alpha_degree
-from .reports import FORMATS, SUITE_NAMES, RunConfig, emit_report, exit_code, is_prime
+from .reports import FORMATS, SUITE_NAMES, RunConfig, emit_report, exit_code
 from .suites import GraphInstance, default_instances, run_suite
 from .symbolic import CycleDecomposition, asymptotic_invariants, symbolic_power
 

@@ -19,6 +19,32 @@ from typing import Iterable, Sequence
 DEFAULT_PRIME = 32003
 
 
+def is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
+    a strong probable-prime test above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2:
+        return False
+    if p in bases:
+        return True
+    if any(p % q == 0 for q in bases):
+        return False
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _strip_gcd(row: dict) -> None:
     g = 0
     for v in row.values():
@@ -156,7 +182,10 @@ def reduced_homology(
     included, so the augmentation map is part of the chain complex:
     rank H~_d = f_d - rank d_d - rank d_{d+1}.  No faces at all is the void
     complex, with no homology; [()] is {emptyset}, with rank one in dimension -1.
+    A composite `prime` with field="prime" raises ValueError: Z/n is no field.
     """
+    if field == "prime" and not is_prime(prime):
+        raise ValueError(f"{prime} is not a prime")
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     for face in faces:
         by_dim.setdefault(len(face) - 1, []).append(face)

@@ -1,21 +1,33 @@
 """Monomials and monomial ideals over a fixed variable universe.
 
-All arithmetic is exact integer arithmetic on exponent vectors.  Ideals
-are always stored through their unique minimal monomial generating set,
-sorted by (total degree, exponent vector) with variable 1 in the most
-significant position.  Variable indices are 0-based in code and 1-based
-in the rendered form (position 0 prints as ``x1``).
+Ideals are stored through their unique minimal generating set, sorted by
+(total degree, exponent vector) with variable 1 most significant.  Variable
+indices are 0-based in code and 1-based when rendered (position 0 is ``x1``).
+
+`Monomial`, an exponent tuple, is the public type and is validated where it
+enters.  The ideal operations pack each generator into one int instead: a
+byte per variable, variable 1 most significant, the top bit of each byte a
+guard bit that a stored monomial keeps clear.  Exponents thus stop at
+MAX_EXPONENT = 127; beyond it LimitExceeded is raised, never a wrap.  With G
+the guard bits, a divides b iff ((b | G) - a) & G == G (no borrow crosses a
+byte); the guard bits left set, spread over their bytes, select lcm and
+colon per variable; a product is a + b, overflowed iff a guard bit is set;
+the degree is the byte sum, and the canonical order is (degree, -p).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-import numpy as np
+from .errors import LimitExceeded, UniverseMismatch
 
-from .errors import UniverseMismatch
+# the packed layout: one byte per variable, its top bit the guard bit
+_BITS = 8
+_GUARD = 1 << (_BITS - 1)
+MAX_EXPONENT = _GUARD - 1
+_OVERFLOW = f"an exponent exceeds {MAX_EXPONENT}, the packed-monomial limit"
 
 
 class Monomial(tuple):
@@ -55,12 +67,12 @@ class Monomial(tuple):
 
     def mul(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
-        return Monomial(a + b for a, b in zip(self, other))
+        return _monomial(a + b for a, b in zip(self, other))
 
     def pow(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("negative power of a monomial")
-        return Monomial(e * k for e in self)
+        return _monomial(e * k for e in self)
 
     def divides(self, other: "Monomial") -> bool:
         _same_universe(self, other)
@@ -71,15 +83,15 @@ class Monomial(tuple):
         _same_universe(self, other)
         if not other.divides(self):
             raise ValueError(f"{other.render()} does not divide {self.render()}")
-        return Monomial(a - b for a, b in zip(self, other))
+        return _monomial(a - b for a, b in zip(self, other))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
-        return Monomial(min(a, b) for a, b in zip(self, other))
+        return _monomial(min(a, b) for a, b in zip(self, other))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return _monomial(max(a, b) for a, b in zip(self, other))
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other = self / gcd(self, other)."""
@@ -98,6 +110,11 @@ class Monomial(tuple):
 
     def __repr__(self) -> str:
         return f"Monomial({self.render()})"
+
+
+def _monomial(exponents: Iterable[int]) -> Monomial:
+    """A Monomial from exponents known to be valid, without re-checking them."""
+    return tuple.__new__(Monomial, exponents)
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -125,56 +142,132 @@ def _same_universe(a, b) -> None:
         raise UniverseMismatch(f"universe sizes differ: {len(a)} vs {len(b)}")
 
 
-def _canon_key(t):
-    # degree first, then lex with variable 1 most significant (x1*x2 before x2*x3)
-    return (sum(t), tuple(-e for e in t))
+def _guard(nvars: int) -> int:
+    """G: the guard bits of every variable."""
+    return int.from_bytes(bytes((_GUARD,)) * nvars, "big")
+
+
+def _spread(bits: int) -> int:
+    """Guard bits spread over the exponent bits below them in their bytes."""
+    return bits - (bits >> (_BITS - 1))
+
+
+def _pack(m: Sequence[int]) -> int:
+    """The packed form of a valid exponent vector; LimitExceeded above MAX_EXPONENT."""
+    if m and max(m) > MAX_EXPONENT:
+        raise LimitExceeded(_OVERFLOW)
+    return int.from_bytes(bytes(m), "big")
+
+
+def _unpack(p: int, nvars: int) -> Monomial:
+    return _monomial(p.to_bytes(nvars, "big"))
+
+
+def _degree(p: int, nvars: int) -> int:
+    return sum(p.to_bytes(nvars, "big"))
+
+
+def _variables(p: int, nvars: int) -> tuple[int, ...]:
+    """Indices of the variables whose byte of p is nonzero."""
+    return tuple(i for i, e in enumerate(p.to_bytes(nvars, "big")) if e)
+
+
+def _member(p: int, gens: Iterable[int], guard: int) -> bool:
+    """Some packed generator divides p."""
+    pg = p | guard
+    for g in gens:
+        if (pg - g) & guard == guard:
+            return True
+    return False
+
+
+def _lcms(xs: Iterable[int], ys: Sequence[int], guard: int) -> set[int]:
+    """lcm(x, y) for every pair: y, raised to x where x_i >= y_i."""
+    shift = _BITS - 1  # _spread, inlined in the hottest loop
+    out = set()
+    for x in xs:
+        xg = x | guard
+        for y in ys:
+            t = (xg - y) & guard
+            out.add(y ^ ((x ^ y) & (t - (t >> shift))))
+    return out
+
+
+def _quotient_supports(b: int, gens: Iterable[int], guard: int) -> set[int]:
+    """supp(b / g) as a mask of guard bits, for each packed g dividing b."""
+    low = _spread(guard)
+    out = set()
+    for g in gens:
+        d = (b | guard) - g
+        if d & guard == guard:
+            out.add(((d ^ guard) + low) & guard)
+    return out
+
+
+def _of_degree(nvars: int, t: int, variables: Sequence[int]) -> set[int]:
+    """Every packed monomial of degree t in the chosen variables (0-based)."""
+    if t < 0:
+        raise ValueError("negative degree")
+    for v in variables:
+        if not 0 <= v < nvars:
+            raise ValueError(f"variable index {v} outside universe of size {nvars}")
+    if t > MAX_EXPONENT and variables:
+        raise LimitExceeded(_OVERFLOW)
+    units = [1 << _BITS * (nvars - 1 - v) for v in variables]
+    return {sum(c) for c in itertools.combinations_with_replacement(units, t)}
+
+
+def _minimal(gens: Collection[int], nvars: int) -> tuple[int, ...]:
+    """The minimal generators of the ideal that packed monomials generate.
+
+    They come back in canonical order.  A generator is dropped when another
+    (distinct, after dedup) generator divides it.  Sorting by degree first
+    means each candidate only needs testing against the kept generators of
+    lower degree: distinct monomials of one degree never divide each other.
+    A packed product whose exponent overflowed carries a guard bit and
+    raises LimitExceeded here.
+    """
+    guard = _guard(nvars)
+    ordered = sorted((_degree(p, nvars), -p) for p in set(gens))
+    kept: list[int] = []
+    lower: list[int] = []
+    degree = -1
+    for d, neg in ordered:
+        c = -neg
+        if c & guard:
+            raise LimitExceeded(_OVERFLOW)
+        if d != degree:
+            degree, lower = d, kept[:]
+        cg = c | guard
+        for k in lower:
+            if (cg - k) & guard == guard:
+                break
+        else:
+            kept.append(c)
+    return tuple(kept)
 
 
 def minimalize(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
-    """Reduce a generating list to the unique minimal one, canonically sorted.
-
-    A generator is dropped when another (distinct, after dedup) generator
-    divides it.  Sorting by degree first means each candidate only needs to
-    be tested against the already-kept lower-degree part of the list.
-    """
-    distinct = sorted(set(tuple(g) for g in gens), key=_canon_key)
-    if not distinct:
+    """Reduce a generating list to the unique minimal one, canonically sorted."""
+    if not gens:
         return ()
-    nv = len(distinct[0])
-    for t in distinct:
-        if len(t) != nv:
-            raise UniverseMismatch("mixed universe sizes in generator list")
-    if len(distinct) <= 64:
-        kept: list[tuple] = []
-        for cand in distinct:
-            if not any(all(a <= b for a, b in zip(k, cand)) for k in kept):
-                kept.append(cand)
-        return tuple(Monomial(t) for t in kept)
-    # bulk path: single pass against the kept prefix, vectorized
-    arr = np.array(distinct, dtype=np.int64)
-    buf = np.empty_like(arr)
-    k = 0
-    keep_rows = []
-    for i in range(arr.shape[0]):
-        row = arr[i]
-        if k and bool(np.any(np.all(buf[:k] <= row, axis=1))):
-            continue
-        buf[k] = row
-        k += 1
-        keep_rows.append(distinct[i])
-    return tuple(Monomial(t) for t in keep_rows)
+    nv = len(gens[0])
+    if any(len(g) != nv for g in gens):
+        raise UniverseMismatch("mixed universe sizes in generator list")
+    return tuple(_unpack(p, nv) for p in _minimal({_pack(g) for g in gens}, nv))
 
 
 class MonomialIdeal:
     """A monomial ideal, stored via its minimal generators.
 
-    The zero ideal has an empty generator tuple; the unit ideal is
-    generated by the unit monomial.
+    `packed` holds them as packed ints in canonical order and `gens` as
+    Monomials, built when first read.  The zero ideal has no generators;
+    the unit ideal is generated by the unit monomial.
     """
 
-    __slots__ = ("nvars", "gens")
+    __slots__ = ("nvars", "packed", "_gens")
 
-    def __init__(self, nvars: int, gens: Iterable = (), *, _minimal: bool = False):
+    def __init__(self, nvars: int, gens: Iterable = ()):
         self.nvars = int(nvars)
         mono = [g if isinstance(g, Monomial) else Monomial(g) for g in gens]
         for g in mono:
@@ -182,26 +275,42 @@ class MonomialIdeal:
                 raise UniverseMismatch(
                     f"generator {g.render()} has {g.nvars} variables, expected {self.nvars}"
                 )
-        self.gens = tuple(mono) if _minimal else minimalize(mono)
+        self._gens = minimalize(mono)
+        self.packed = tuple(map(_pack, self._gens))
+
+    @classmethod
+    def _from_packed(cls, nvars: int, packed: Collection[int]) -> "MonomialIdeal":
+        """The ideal generated by packed monomials of this universe."""
+        a = cls.__new__(cls)
+        a.nvars = nvars
+        a.packed = _minimal(packed, nvars)
+        a._gens = None
+        return a
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, (), _minimal=True)
+        return cls._from_packed(nvars, ())
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, (Monomial.unit(nvars),), _minimal=True)
+        return cls._from_packed(nvars, (0,))
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        if self._gens is None:
+            self._gens = tuple(_unpack(p, self.nvars) for p in self.packed)
+        return self._gens
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.packed
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit()
+        return self.packed == (0,)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self.packed)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
@@ -210,11 +319,11 @@ class MonomialIdeal:
         return (
             isinstance(other, MonomialIdeal)
             and self.nvars == other.nvars
-            and self.gens == other.gens
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.gens))
+        return hash((self.nvars, self.packed))
 
     def __repr__(self) -> str:
         body = ", ".join(g.render() for g in self.gens) or "0"
@@ -222,11 +331,6 @@ class MonomialIdeal:
 
     def render(self) -> str:
         return "(" + (", ".join(g.render() for g in self.gens) or "0") + ")"
-
-    def exponent_matrix(self) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros((0, self.nvars), dtype=np.int64)
-        return np.array([tuple(g) for g in self.gens], dtype=np.int64)
 
 
 def parse_ideal(text: str, nvars: int) -> MonomialIdeal:
@@ -244,18 +348,19 @@ def contains(a: MonomialIdeal, m: Monomial) -> bool:
     """Monomial membership: some minimal generator divides m."""
     if m.nvars != a.nvars:
         raise UniverseMismatch("monomial universe differs from ideal universe")
-    return any(g.divides(m) for g in a.gens)
+    return _member(_pack(m), a.packed, _guard(a.nvars))
 
 
 def ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Inclusion b subseteq a, decided on minimal generators of b."""
     _check_pair(a, b)
-    return all(contains(a, g) for g in b.gens)
+    guard = _guard(a.nvars)
+    return all(_member(g, a.packed, guard) for g in b.packed)
 
 
 def ideal_equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     _check_pair(a, b)
-    return a.gens == b.gens
+    return a.packed == b.packed
 
 
 def first_difference(a: MonomialIdeal, b: MonomialIdeal):
@@ -265,12 +370,13 @@ def first_difference(a: MonomialIdeal, b: MonomialIdeal):
     that contains it.
     """
     _check_pair(a, b)
-    for g in a.gens:
-        if not contains(b, g):
-            return g, "left"
-    for g in b.gens:
-        if not contains(a, g):
-            return g, "right"
+    guard = _guard(a.nvars)
+    for g in a.packed:
+        if not _member(g, b.packed, guard):
+            return _unpack(g, a.nvars), "left"
+    for g in b.packed:
+        if not _member(g, a.packed, guard):
+            return _unpack(g, a.nvars), "right"
     return None
 
 
@@ -278,25 +384,17 @@ def ideal_sum(*ideals: MonomialIdeal) -> MonomialIdeal:
     if not ideals:
         raise ValueError("ideal_sum needs at least one ideal")
     nv = ideals[0].nvars
-    gens: list[Monomial] = []
+    gens: set[int] = set()
     for a in ideals:
         if a.nvars != nv:
             raise UniverseMismatch("summands live in different universes")
-        gens.extend(a.gens)
-    return MonomialIdeal(nv, gens)
+        gens.update(a.packed)
+    return MonomialIdeal._from_packed(nv, gens)
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _check_pair(a, b)
-    if a.is_zero or b.is_zero:
-        return MonomialIdeal.zero(a.nvars)
-    if len(a.gens) * len(b.gens) <= 256:
-        gens = [g.mul(h) for g in a.gens for h in b.gens]
-        return MonomialIdeal(a.nvars, gens)
-    arr = (a.exponent_matrix()[:, None, :] + b.exponent_matrix()[None, :, :]).reshape(
-        -1, a.nvars
-    )
-    return _ideal_from_rows(a.nvars, arr)
+    return MonomialIdeal._from_packed(a.nvars, {x + y for x in a.packed for y in b.packed})
 
 
 def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -313,15 +411,7 @@ def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
 def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection via pairwise lcms of the generators."""
     _check_pair(a, b)
-    if a.is_zero or b.is_zero:
-        return MonomialIdeal.zero(a.nvars)
-    if len(a.gens) * len(b.gens) <= 256:
-        gens = [g.lcm(h) for g in a.gens for h in b.gens]
-        return MonomialIdeal(a.nvars, gens)
-    arr = np.maximum(
-        a.exponent_matrix()[:, None, :], b.exponent_matrix()[None, :, :]
-    ).reshape(-1, a.nvars)
-    return _ideal_from_rows(a.nvars, arr)
+    return MonomialIdeal._from_packed(a.nvars, _lcms(a.packed, b.packed, _guard(a.nvars)))
 
 
 def ideal_intersection_many(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
@@ -343,8 +433,14 @@ def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
     if isinstance(d, Monomial):
         if d.nvars != a.nvars:
             raise UniverseMismatch("colon divisor universe differs")
-        gens = [g.div(g.gcd(d)) for g in a.gens]
-        return MonomialIdeal(a.nvars, gens)
+        guard = _guard(a.nvars)
+        dp = _pack(d)
+        gens = set()
+        for g in a.packed:
+            # bytes 128 + g_i - d_i; keep g_i - d_i where it is >= 0, else 0
+            diff = (g | guard) - dp
+            gens.add(diff & _spread(diff & guard))
+        return MonomialIdeal._from_packed(a.nvars, gens)
     if isinstance(d, MonomialIdeal):
         _check_pair(a, d)
         if d.is_zero:
@@ -357,29 +453,16 @@ def alpha_degree(a: MonomialIdeal) -> int:
     """alpha(a): least degree of a nonzero element (= of a minimal generator)."""
     if a.is_zero:
         raise ValueError("alpha degree of the zero ideal is undefined")
-    return a.gens[0].degree()
+    return _degree(a.packed[0], a.nvars)
 
 
 def monomials_of_degree(
     nvars: int, degree: int, variables: Sequence[int] | None = None
-) -> Iterator[Monomial]:
-    """All monomials of the given total degree in the chosen variables (0-based)."""
-    if degree < 0:
-        raise ValueError("negative degree")
-    chosen = tuple(range(nvars)) if variables is None else tuple(variables)
-    for v in chosen:
-        if not 0 <= v < nvars:
-            raise ValueError(f"variable index {v} outside universe of size {nvars}")
-    if degree == 0:
-        yield Monomial.unit(nvars)
-        return
-    if not chosen:
-        return
-    for combo in itertools.combinations_with_replacement(chosen, degree):
-        exps = [0] * nvars
-        for v in combo:
-            exps[v] += 1
-        yield Monomial(exps)
+) -> list[Monomial]:
+    """All monomials of the given total degree in the chosen variables (0-based),
+    in canonical order."""
+    chosen = range(nvars) if variables is None else tuple(variables)
+    return [_unpack(p, nvars) for p in sorted(_of_degree(nvars, degree, chosen), reverse=True)]
 
 
 def variable_power_ideal(
@@ -389,13 +472,7 @@ def variable_power_ideal(
 
     t = 0 gives the unit ideal; an empty variable set with t >= 1 gives zero.
     """
-    if t == 0:
-        return MonomialIdeal.unit(nvars)
-    gens = tuple(monomials_of_degree(nvars, t, variables))
-    if not gens:
-        return MonomialIdeal.zero(nvars)
-    # generators of equal degree in disjoint-from-nothing variables are already minimal
-    return MonomialIdeal(nvars, gens, _minimal=True) if _presorted(gens) else MonomialIdeal(nvars, gens)
+    return MonomialIdeal._from_packed(nvars, _of_degree(nvars, t, tuple(variables)))
 
 
 def intersect_with_m_power(a: MonomialIdeal, t: int) -> MonomialIdeal:
@@ -405,26 +482,15 @@ def intersect_with_m_power(a: MonomialIdeal, t: int) -> MonomialIdeal:
     generator g of a either survives as-is (deg g >= t) or contributes
     g * (every monomial of degree t - deg g).
     """
-    if a.is_zero:
-        return a
-    gens: list[Monomial] = []
-    for g in a.gens:
-        deficit = t - g.degree()
+    nv = a.nvars
+    gens: set[int] = set()
+    for g in a.packed:
+        deficit = t - _degree(g, nv)
         if deficit <= 0:
-            gens.append(g)
+            gens.add(g)
         else:
-            gens.extend(g.mul(w) for w in monomials_of_degree(a.nvars, deficit))
-    return MonomialIdeal(a.nvars, gens)
-
-
-def _presorted(gens: Sequence[Monomial]) -> bool:
-    keys = [_canon_key(g) for g in gens]
-    return all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
-
-
-def _ideal_from_rows(nvars: int, rows: np.ndarray) -> MonomialIdeal:
-    uniq = np.unique(rows, axis=0)
-    return MonomialIdeal(nvars, [Monomial(map(int, r)) for r in uniq])
+            gens.update(g + w for w in _of_degree(nv, deficit, range(nv)))
+    return MonomialIdeal._from_packed(nv, gens)
 
 
 def _check_pair(a: MonomialIdeal, b: MonomialIdeal) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import CycleCertificate, Graph
+from .homology import is_prime
 
 SUITE_NAMES = (
     "decomposition",
@@ -27,32 +28,6 @@ SUITE_NAMES = (
 )
 
 FORMATS = ("json", "csv", "text")
-
-
-def is_prime(p: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
-    a strong probable-prime test above."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2:
-        return False
-    if p in bases:
-        return True
-    if any(p % q == 0 for q in bases):
-        return False
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from edgeideals.betti import quotient_regularity, regularity, socle_regularity
 from edgeideals.evenconnect import (
     colon_via_even_connections,

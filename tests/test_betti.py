@@ -28,6 +28,11 @@ from edgeideals.homology import reduced_homology
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    _guard,
+    _pack,
+    _quotient_supports,
+    _unpack,
+    _variables,
     alpha_degree,
     contains,
     ideal_power,
@@ -55,15 +60,11 @@ def _upper_koszul_faces(a: MonomialIdeal, b: Monomial) -> list[tuple[int, ...]]:
 
 
 def _engine_complex(a: MonomialIdeal, b: Monomial):
-    """The engine's membership array at b, as faces, and whether it prunes it."""
-    support = b.support()
-    member = betti._membership_masks(tuple(b), support, a.exponent_matrix())
-    faces = [
-        tuple(v for pos, v in enumerate(support) if mask >> pos & 1)
-        for mask in range(len(member))
-        if member[mask]
-    ]
-    return faces, betti._is_cone_masked(member, len(support))
+    """The engine's complex at b, as faces, and whether it prunes it as a cone."""
+    supports = _quotient_supports(_pack(b), a.packed, _guard(a.nvars))
+    facets = betti._facets(supports)
+    faces = [_variables(f, a.nvars) for f in betti._faces(facets)]
+    return faces, betti._is_cone(facets)
 
 
 def test_upper_koszul_small_cases():
@@ -89,13 +90,21 @@ def test_upper_koszul_small_cases():
     assert not pruned
     assert reduced_homology(faces) == {0: 2}
 
+    # supports {x1,x2}, {x3} and {x2,x3}: the non-maximal {x3} misses the apex x2
+    # that both facets share, so the cone is found on the facets only
+    three = parse_ideal("x1*x2*x3^2, x1^2*x2^2, x1^2*x2*x3", 3)
+    b = parse_monomial("x1^2*x2^2*x3^2", 3)
+    faces, pruned = _engine_complex(three, b)
+    assert sorted(faces) == sorted(_upper_koszul_faces(three, b))
+    assert pruned and reduced_homology(faces) == {}
+
 
 def test_lcm_closure_triangle():
     tri = edge_ideal(complete_graph(3))
-    got = lcm_closure(tri.exponent_matrix())
-    assert got == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    got = lcm_closure(tri)
+    assert [_unpack(p, 3) for p in got] == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
     with pytest.raises(LimitExceeded):
-        lcm_closure(edge_ideal(cycle_graph(5)).exponent_matrix(), cap=3)
+        lcm_closure(edge_ideal(cycle_graph(5)), cap=3)
 
 
 def test_triangle_betti_table():
@@ -218,9 +227,9 @@ def test_euler_characteristic_per_multidegree():
     # the engine's per-multidegree complexes match direct membership tests,
     # and their homology has the alternating face count as Euler characteristic
     for a in (edge_ideal(cycle_graph(5)), ordinary_power(cycle_graph(5), 2)):
-        degrees = lcm_closure(a.exponent_matrix())
+        degrees = lcm_closure(a)
         for b in degrees[:40]:
-            mono = Monomial(b)
+            mono = _unpack(b, a.nvars)
             faces, _ = _engine_complex(a, mono)
             assert sorted(faces) == sorted(_upper_koszul_faces(a, mono))
             ranks = reduced_homology(faces)
@@ -259,6 +268,14 @@ def test_hochster_oracle_refuses_bad_input():
         hochster_betti_table(MonomialIdeal.unit(2))
     with pytest.raises(LimitExceeded):
         hochster_betti_table(edge_ideal(cycle_graph(9)))
+
+
+@pytest.mark.parametrize("prime", [1, 4])
+@pytest.mark.parametrize("table", [betti_table, hochster_betti_table])
+def test_composite_prime_field_refused(table, prime):
+    # Z/1 and Z/4 are no fields: the engine and the oracle refuse them themselves
+    with pytest.raises(ValueError, match=f"{prime} is not a prime"):
+        table(edge_ideal(cycle_graph(5)), field="prime", prime=prime)
 
 
 def test_resource_caps():

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,25 @@ def test_regularity_suite_report_bytes_pinned(tmp_path, suite_args, want):
     assert main(args + ["--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == want
+
+
+def test_runs_without_numpy():
+    # numpy is only a test dependency: the package imports and checks without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import edgeideals\n"
+        "from edgeideals.cli import main\n"
+        "sys.exit(main(['check', '--s-max', '1', '--format', 'json']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)

@@ -4,9 +4,7 @@ import random
 
 import pytest
 
-from edgeideals.errors import LimitExceeded
 from edgeideals.evenconnect import (
-    EdgeFactorization,
     EdgeOrder,
     EvenConnectionPath,
     colon_via_even_connections,

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals.errors import UniverseMismatch
+from edgeideals.betti import lcm_closure
+from edgeideals.errors import LimitExceeded, UniverseMismatch
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    _unpack,
     alpha_degree,
     contains,
     first_difference,
@@ -41,6 +42,37 @@ def naive_minimal(gens):
         if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in uniq):
             out.append(g)
     return set(out)
+
+
+def _naive_ideal(gens):
+    """Minimal generators in canonical order: degree, then variable 1 most significant."""
+    return sorted(naive_minimal(gens), key=lambda t: (sum(t), [-e for e in t]))
+
+
+def _naive_closure(gens):
+    """Every lcm of a nonempty set of generators, sorted by (degree, exponents)."""
+    seen = set(map(tuple, gens))
+    frontier = set(seen)
+    while frontier:
+        fresh = {tuple(map(max, f, g)) for f in frontier for g in gens} - seen
+        seen |= fresh
+        frontier = fresh
+    return sorted(seen, key=lambda t: (sum(t), t))
+
+
+def _check_against_naive(a, b, d):
+    """Each packed ideal operation against the tuple reference."""
+    ga, gb = [tuple(g) for g in a.gens], [tuple(g) for g in b.gens]
+    assert list(ideal_product(a, b).gens) == _naive_ideal(
+        [tuple(x + y for x, y in zip(g, h)) for g in ga for h in gb]
+    )
+    assert list(ideal_intersection(a, b).gens) == _naive_ideal(
+        [tuple(map(max, g, h)) for g in ga for h in gb]
+    )
+    assert list(ideal_colon(a, d).gens) == _naive_ideal(
+        [tuple(max(x - y, 0) for x, y in zip(g, d)) for g in ga]
+    )
+    assert [_unpack(p, a.nvars) for p in lcm_closure(a)] == _naive_closure(ga)
 
 
 def random_ideal(rng, nvars, count, maxexp=3):
@@ -244,3 +276,51 @@ def test_prop_colon_then_multiply_contains(a, d):
     q = ideal_colon(a, d)
     back = ideal_product(q, MonomialIdeal(3, [d]))
     assert ideal_contains(a, back)
+
+
+def test_packed_kernel_matches_tuple_reference_seeded():
+    rng = random.Random(_SEED + 7)
+    for _ in range(150):
+        nv = rng.randint(1, 8)
+        a = random_ideal(rng, nv, rng.randint(1, 8), maxexp=4)
+        b = random_ideal(rng, nv, rng.randint(1, 8), maxexp=4)
+        d = Monomial(tuple(rng.randint(0, 4) for _ in range(nv)))
+        _check_against_naive(a, b, d)
+        gens = [Monomial(tuple(rng.randint(0, 4) for _ in range(nv))) for _ in range(30)]
+        assert [tuple(g) for g in minimalize(gens)] == _naive_ideal(gens)
+
+
+@st.composite
+def _ideal_pair_and_divisor(draw):
+    nv = draw(st.integers(min_value=1, max_value=8))
+    mono = st.lists(st.integers(min_value=0, max_value=4), min_size=nv, max_size=nv)
+    gens = st.lists(mono, min_size=1, max_size=8)
+    return MonomialIdeal(nv, draw(gens)), MonomialIdeal(nv, draw(gens)), Monomial(draw(mono))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ideal_pair_and_divisor())
+def test_prop_packed_kernel_matches_tuple_reference(case):
+    _check_against_naive(*case)
+
+
+def test_exponent_overflow_raises_and_never_wraps():
+    x64 = MonomialIdeal(1, [(64,)])
+    with pytest.raises(LimitExceeded):
+        ideal_product(x64, x64)
+    assert ideal_product(x64, MonomialIdeal(1, [(63,)])).gens == (Monomial((127,)),)
+    # an overflow in the last variable must not carry into the one before it
+    with pytest.raises(LimitExceeded):
+        ideal_product(MonomialIdeal(2, [(0, 100)]), MonomialIdeal(2, [(0, 28)]))
+    a = MonomialIdeal(1, [(1,)])
+    for big in (Monomial((128,)), Monomial((300,))):
+        with pytest.raises(LimitExceeded):
+            MonomialIdeal(1, [big])
+        with pytest.raises(LimitExceeded):
+            ideal_colon(a, big)
+        with pytest.raises(LimitExceeded):
+            contains(a, big)
+    with pytest.raises(LimitExceeded):
+        variable_power_ideal(2, [0, 1], 128)
+    with pytest.raises(LimitExceeded):
+        intersect_with_m_power(MonomialIdeal(1, [(100,)]), 128)
