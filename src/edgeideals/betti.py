@@ -6,11 +6,12 @@ the closure of the packed generators under lcm (every nonzero Betti
 multidegree is an lcm of generators).  Per multidegree the complex lives on
 supp(b) and is down-closed: a face is any subset of supp(b / g) for a
 generator g dividing b, so its facets are the maximal such supports, kept as
-int bitmasks.  It is a cone, with no reduced homology, iff one vertex lies
-in every facet, i.e. the AND of the facets is nonzero; only the rest have
-their faces enumerated and go to `homology.reduced_homology` as face tuples.
-The Hochster oracle computes squarefree tables through the same routine,
-from a different complex.
+int bitmasks.  Deleting a dominated vertex (another vertex lies in every facet
+containing it) keeps the homotopy type (Barmak-Minian), so each complex is
+cut to its strong-homotopy core; a core that is one nonempty simplex has no
+reduced homology, and only the faces of the other cores go to
+`homology.reduced_homology`.  The Hochster oracle computes squarefree tables
+through the same routine from its full, uncollapsed complex.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .errors import LimitExceeded
 from .graphs import Graph
-from .homology import DEFAULT_PRIME, reduced_homology
+from .homology import DEFAULT_PRIME, check_field, reduced_homology
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -82,33 +83,6 @@ class BettiTable:
             raise ValueError("empty Betti table has no regularity")
         return max(b.degree() - i for i, b, _ in self.entries)
 
-    @property
-    def projective_dimension(self) -> int:
-        return max(i for i, _, _ in self.entries)
-
-    def rank(self, i: int, b: Monomial) -> int:
-        for j, c, rank in self.entries:
-            if j == i and c == b:
-                return rank
-        return 0
-
-    def generator_count(self) -> int:
-        return sum(rank for i, _, rank in self.entries if i == 0)
-
-    def as_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "prime": self.prime,
-            "regularity": self.regularity,
-            "entries": [
-                {"i": i, "b": list(b), "rank": rank} for i, b, rank in self.entries
-            ],
-            "graded": [
-                {"i": i, "j": j, "rank": rank}
-                for (i, j), rank in sorted(self.graded().items())
-            ],
-        }
-
 
 def _facets(supports: set[int]) -> list[int]:
     """The maximal masks among the supports: the facets of the complex they span."""
@@ -119,9 +93,32 @@ def _facets(supports: set[int]) -> list[int]:
     return facets
 
 
-def _is_cone(facets: list[int]) -> bool:
-    """One vertex lies in every facet; the void complex (no facets) is no cone."""
-    return bool(facets) and reduce(and_, facets) != 0
+def _core(facets: list[int]) -> list[int]:
+    """The facets of the strong-homotopy core of the complex with these facets.
+
+    Dominated vertices go one at a time, since two can dominate each other;
+    a cone goes to its apex at once.  [0] ({emptyset}) and [] (the void
+    complex) are their own cores.
+    """
+    while facets:
+        apex = reduce(and_, facets)
+        if apex:
+            return [apex & -apex]
+        union = reduce(or_, facets)
+        while union:
+            v = union & -union
+            union ^= v
+            if reduce(and_, (f for f in facets if f & v)) != v:  # v is dominated
+                facets = _facets({f & ~v for f in facets})
+                break
+        else:
+            return facets
+    return facets
+
+
+def _contractible(core: list[int]) -> bool:
+    """A core that is one nonempty simplex; [0] is {emptyset}, with H~_-1 = 1."""
+    return len(core) == 1 and core[0] != 0
 
 
 def _faces(facets: list[int]) -> set[int]:
@@ -147,6 +144,7 @@ def betti_table(
 ) -> BettiTable:
     if a.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
+    check_field(field, prime)
     used_prime = prime if field == "prime" else None
     if a.is_unit:
         return BettiTable(a.nvars, field, used_prime, ((0, Monomial.unit(a.nvars), 1),))
@@ -161,10 +159,10 @@ def betti_table(
             raise LimitExceeded(
                 f"multidegree support {len(support)} exceeds the {max_support} cap"
             )
-        facets = _facets(_quotient_supports(b, a.packed, guard))
-        if _is_cone(facets):
+        core = _core(_facets(_quotient_supports(b, a.packed, guard)))
+        if _contractible(core):
             continue
-        faces = [_variables(f, nv) for f in _faces(facets)]
+        faces = [_variables(f, nv) for f in _faces(core)]
         mono = _unpack(b, nv)
         for d, rank in reduced_homology(faces, field, prime).items():
             entries.append((d + 1, mono, rank))
@@ -196,6 +194,7 @@ def hochster_betti_table(
     """
     if a.is_zero or a.is_unit:
         raise ValueError("oracle needs a proper nonzero ideal")
+    check_field(field, prime)
     if any(not g.is_squarefree() for g in a.gens):
         raise ValueError("oracle only applies to squarefree ideals")
     ground: set[int] = set()

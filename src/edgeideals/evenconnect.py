@@ -21,6 +21,12 @@ from .graphs import Graph
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _colon,
+    _degree,
+    _guard,
+    _member,
+    _pack,
+    _unpack,
     contains,
     first_difference,
     ideal_colon,
@@ -84,10 +90,6 @@ class EdgeOrder:
             tuple(range(g.vertex_count)),
             "endpoint-descending",
         )
-
-    @classmethod
-    def leaf_peel(cls, cd: CycleDecomposition) -> "EdgeOrder":
-        return leaf_peel_order(cd).order
 
 
 @dataclass(frozen=True)
@@ -480,21 +482,17 @@ def verify_order_lemma(
     us = go.generators
     instance = describe_instance(g, s=s, r=r, label="order-lemma")
     config = (("edge_order", order.label),)
-    higher = ordinary_power(g, s + 1)
-    pairs = 0
+    nv = g.vertex_count
+    guard = _guard(nv)
+    packed = [_pack(u) for u in us]
+    higher = ordinary_power(g, s + 1).packed
     for k in range(1, len(us)):
-        uk = us[k]
-        earlier_vars: set[int] = set()
-        for i in range(k):
-            q = us[i].colon(uk)
-            if q.degree() == 1:
-                earlier_vars.add(q.support()[0])
-        for j in range(k):
-            pairs += 1
-            w = us[j].colon(uk)
-            if any(w[v] >= 1 for v in earlier_vars):
-                continue
-            if contains(higher, w.mul(uk)):
+        uk = packed[k]
+        colons = [_colon(uj, uk, guard) for uj in packed[:k]]
+        variables = {q for q in colons if _degree(q, nv) == 1}  # earlier u_i : u_k
+        for j, w in enumerate(colons):
+            # w * u_k = lcm(u_j, u_k), so no exponent can overflow
+            if _member(w, variables, guard) or _member(w + uk, higher, guard):
                 continue
             return VerificationReport(
                 suite="orderings",
@@ -503,8 +501,8 @@ def verify_order_lemma(
                 status="fail",
                 witnesses=(
                     f"u_{j + 1}={us[j].render()}",
-                    f"u_{k + 1}={uk.render()}",
-                    f"quotient {w.render()} escapes both branches",
+                    f"u_{k + 1}={us[k].render()}",
+                    f"quotient {_unpack(w, nv).render()} escapes both branches",
                 ),
                 config=config,
             )
@@ -513,7 +511,7 @@ def verify_order_lemma(
         check="order-lemma",
         instance=instance,
         status="pass",
-        details=f"{pairs} ordered pairs over {len(us)} generators",
+        details=f"{len(us) * (len(us) - 1) // 2} ordered pairs over {len(us)} generators",
         config=config,
     )
 

@@ -101,9 +101,6 @@ class CycleCertificate:
             raise ValueError("half_length is only defined for odd cycles")
         return (self.length - 1) // 2
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
     @classmethod
     def check(cls, g: Graph, vertices: Sequence[int]) -> "CycleCertificate":
         vs = tuple(int(v) for v in vertices)

@@ -45,6 +45,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_field(field: str, prime: int) -> None:
+    """Refuse what is no coefficient field: an unknown name, or Z/n for n not prime."""
+    if field == "prime":
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not a prime")
+    elif field != "rational":
+        raise ValueError(f"unknown field {field!r}")
+
+
 def _strip_gcd(row: dict) -> None:
     g = 0
     for v in row.values():
@@ -182,10 +191,8 @@ def reduced_homology(
     included, so the augmentation map is part of the chain complex:
     rank H~_d = f_d - rank d_d - rank d_{d+1}.  No faces at all is the void
     complex, with no homology; [()] is {emptyset}, with rank one in dimension -1.
-    A composite `prime` with field="prime" raises ValueError: Z/n is no field.
+    The caller vouches for the field with `check_field`, once per table.
     """
-    if field == "prime" and not is_prime(prime):
-        raise ValueError(f"{prime} is not a prime")
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     for face in faces:
         by_dim.setdefault(len(face) - 1, []).append(face)

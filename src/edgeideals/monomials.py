@@ -181,6 +181,12 @@ def _member(p: int, gens: Iterable[int], guard: int) -> bool:
     return False
 
 
+def _colon(p: int, d: int, guard: int) -> int:
+    """p : d = p / gcd(p, d): the bytes 128 + p_i - d_i, kept where p_i >= d_i."""
+    diff = (p | guard) - d
+    return diff & _spread(diff & guard)
+
+
 def _lcms(xs: Iterable[int], ys: Sequence[int], guard: int) -> set[int]:
     """lcm(x, y) for every pair: y, raised to x where x_i >= y_i."""
     shift = _BITS - 1  # _spread, inlined in the hottest loop
@@ -435,12 +441,7 @@ def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
             raise UniverseMismatch("colon divisor universe differs")
         guard = _guard(a.nvars)
         dp = _pack(d)
-        gens = set()
-        for g in a.packed:
-            # bytes 128 + g_i - d_i; keep g_i - d_i where it is >= 0, else 0
-            diff = (g | guard) - dp
-            gens.add(diff & _spread(diff & guard))
-        return MonomialIdeal._from_packed(a.nvars, gens)
+        return MonomialIdeal._from_packed(a.nvars, {_colon(g, dp, guard) for g in a.packed})
     if isinstance(d, MonomialIdeal):
         _check_pair(a, d)
         if d.is_zero:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import CycleCertificate, Graph
-from .homology import is_prime
+from .homology import check_field
 
 SUITE_NAMES = (
     "decomposition",
@@ -55,10 +55,7 @@ class RunConfig:
         unknown = set(self.suites) - set(SUITE_NAMES) - {"all"}
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if self.field not in ("rational", "prime"):
-            raise ValueError(f"unknown field {self.field!r}")
-        if self.field == "prime" and not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not a prime")
+        check_field(self.field, self.prime)
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 

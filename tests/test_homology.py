@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from edgeideals.betti import _is_cone
+from edgeideals.betti import _contractible, _core
 from edgeideals.homology import (
     boundary_rank,
     rank_mod_p,
@@ -38,16 +38,17 @@ def _masks(faces) -> list[int]:
 
 
 def test_cone_detection():
-    # the Betti engine prunes cones (no reduced homology) before calling reduced_homology
+    # the Betti engine prunes contractible cores (no reduced homology) before
+    # calling reduced_homology; a cone's core is its apex
     cones = [[(0, 1, 2)], [(0, 1), (0, 2)]]
     others = [[(0, 1), (2,)], [(0, 1), (1, 2), (0, 2)], [()]]
     for maximal in cones:
-        assert _is_cone(_masks(maximal)), maximal
+        assert _contractible(_core(_masks(maximal))), maximal
         assert reduced_homology(_closure(maximal)) == {}
     for maximal in others:
-        assert not _is_cone(_masks(maximal)), maximal
+        assert not _contractible(_core(_masks(maximal))), maximal
         assert reduced_homology(_closure(maximal)) != {}
-    assert not _is_cone([])  # void complex
+    assert not _contractible(_core([]))  # void complex
 
 
 def test_homology_classic_spaces():
