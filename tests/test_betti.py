@@ -115,11 +115,9 @@ def test_triangle_betti_table():
     table = betti_table(tri)
     assert table.graded() == {(0, 2): 3, (1, 3): 2}
     assert (1, parse_monomial("x1*x2*x3", 3), 2) in table.entries
-    assert (0, Monomial((1, 1, 0)), 1) in table.entries
     assert table.regularity == 2
     assert max(i for i, _, _ in table.entries) == 1
     assert sum(r for (i, _), r in table.graded().items() if i == 0) == 3
-    assert table.field == "rational" and table.prime is None
 
 
 def test_betti_rows_zero_iff_minimal_generator():
@@ -336,6 +334,15 @@ def test_unit_ideal_table():
     # the field is refused before the unit ideal's early return
     with pytest.raises(ValueError, match="4 is not a prime"):
         betti_table(MonomialIdeal.unit(3), field="prime", prime=4)
+
+
+def test_as_dict_shape():
+    """The fields a report serialises: field, prime, regularity, entries, graded."""
+    table = betti_table(edge_ideal(complete_graph(3)))
+    assert table.regularity == 2
+    assert table.field == "rational" and table.prime is None
+    assert (0, Monomial((1, 1, 0)), 1) in table.entries
+    assert table.graded()[(1, 3)] == 2
 
 
 def test_hochster_oracle_refuses_bad_input():
