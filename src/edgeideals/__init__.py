@@ -48,7 +48,6 @@ from .symbolic import (
     edge_ideal,
     m2s_identities,
     ordinary_power,
-    symbolic_membership,
     symbolic_power,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "render_graph_text",
     "run_suite",
     "socle_regularity",
-    "symbolic_membership",
     "symbolic_power",
     "verify_colon_chain",
     "verify_leaf_lemma",

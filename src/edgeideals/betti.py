@@ -3,15 +3,20 @@
 beta_{i,b}(a) is the rank of reduced homology in dimension i-1 of the
 upper-Koszul complex of a at the multidegree b.  Candidate multidegrees are
 the closure of the packed generators under lcm (every nonzero Betti
-multidegree is an lcm of generators).  Per multidegree the complex lives on
-supp(b) and is down-closed: a face is any subset of supp(b / g) for a
-generator g dividing b, so its facets are the maximal such supports, kept as
-int bitmasks.  Deleting a dominated vertex (another vertex lies in every facet
-containing it) keeps the homotopy type (Barmak-Minian), so each complex is
-cut to its strong-homotopy core; a core that is one nonempty simplex has no
-reduced homology, and only the faces of the other cores go to
-`homology.reduced_homology`.  The Hochster oracle computes squarefree tables
-through the same routine from its full, uncollapsed complex.
+multidegree is an lcm of generators), built one frontier element at a time
+against all the generators packed side by side in one int (a row).  Per
+multidegree the complex lives on supp(b) and is down-closed: a face is any
+subset of supp(b / g) for a generator g dividing b, so its facets are the
+maximal such supports, kept as int bitmasks.  Deleting a dominated vertex
+(another vertex lies in every facet containing it) keeps the homotopy type
+(Barmak-Minian), so each complex is cut to its strong-homotopy core; a core
+that is one nonempty simplex has no reduced homology.  The other cores have
+their vertices renumbered 0..k-1, and each distinct renumbered core has its
+faces sent to `homology.reduced_homology` once per table: a memo that lives
+for one `betti_table` call maps sorted facet tuples, before and after
+collapsing and renumbering, to their homology.  The Hochster oracle
+computes squarefree tables through the same routine from its full,
+uncollapsed complexes, with no memo.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from .homology import DEFAULT_PRIME, check_field, reduced_homology
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    _degree,
     _guard,
-    _lcms,
+    _lcm_row,
     _quotient_supports,
+    _row,
     _unpack,
     _variables,
     contains,
@@ -44,13 +49,24 @@ DEFAULT_MAX_SUPPORT = 16
 
 
 def lcm_closure(a: MonomialIdeal, cap: int = DEFAULT_MAX_CLOSURE) -> list[int]:
-    """Close the packed generators of a under lcm, sorted by (degree, exponent vector)."""
-    guard = _guard(a.nvars)
-    base = a.packed
-    seen = set(base)
-    frontier = base
+    """Close the packed generators of a under lcm, sorted by (degree, exponent vector).
+
+    Each frontier element meets the whole row of generators at once
+    (`_lcm_row`); multidegrees stay as nv-byte chunks of the row's bytes
+    until they are returned as ints.
+    """
+    nv, base = a.nvars, a.packed
+    row, ones, guards = _row(base, nv)
+    width = nv * len(base)
+    chunks = [slice(j * nv, j * nv + nv) for j in range(len(base))]
+    frontier = [g.to_bytes(nv, "big") for g in base]
+    seen = set(frontier)
     while frontier:
-        fresh = _lcms(frontier, base, guard) - seen
+        fresh: set[bytes] = set()
+        for x in frontier:
+            lcms = _lcm_row(int.from_bytes(x, "big"), row, ones, guards, width)
+            fresh.update(map(lcms.__getitem__, chunks))
+        fresh -= seen
         if len(seen) + len(fresh) > cap:
             raise LimitExceeded(
                 f"lcm closure exceeds {cap} multidegrees "
@@ -58,7 +74,7 @@ def lcm_closure(a: MonomialIdeal, cap: int = DEFAULT_MAX_CLOSURE) -> list[int]:
             )
         seen |= fresh
         frontier = fresh
-    return sorted(seen, key=lambda p: (_degree(p, a.nvars), p))
+    return [p for _, p in sorted((sum(x), int.from_bytes(x, "big")) for x in seen)]
 
 
 @dataclass(frozen=True)
@@ -134,6 +150,33 @@ def _faces(facets: list[int]) -> set[int]:
     return faces
 
 
+def _relabel(facets: list[int]) -> list[int]:
+    """The facets with the complex's k vertices renumbered 0..k-1 in mask order."""
+    union = reduce(or_, facets, 0)
+    vertices = []
+    while union:
+        vertices.append(union & -union)
+        union &= union - 1
+    return [sum(1 << i for i, v in enumerate(vertices) if f & v) for f in facets]
+
+
+def _core_homology(core: list[int], memo: dict, field: str, prime: int) -> dict[int, int]:
+    """Reduced homology of a core, taken once per facet tuple up to renumbering.
+
+    Renumbering the vertices 0..k-1 is an isomorphism, so one memo entry,
+    keyed by the relabelled and sorted facets, serves every core that
+    renumbers to them.
+    """
+    if _contractible(core):
+        return {}
+    core = _relabel(core)
+    key = tuple(sorted(core))
+    if key not in memo:
+        faces = [tuple(v for v in range(f.bit_length()) if f >> v & 1) for f in _faces(core)]
+        memo[key] = reduced_homology(faces, field, prime)
+    return memo[key]
+
+
 def betti_table(
     a: MonomialIdeal,
     field: str = "rational",
@@ -153,19 +196,22 @@ def betti_table(
     nv = a.nvars
     guard = _guard(nv)
     entries: list[tuple[int, Monomial, int]] = []
+    # sorted facet tuple -> reduced homology, for this table's field only
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
     for b in lcm_closure(a, max_closure):
         support = _variables(b, nv)
         if len(support) > max_support:
             raise LimitExceeded(
                 f"multidegree support {len(support)} exceeds the {max_support} cap"
             )
-        core = _core(_facets(_quotient_supports(b, a.packed, guard)))
-        if _contractible(core):
-            continue
-        faces = [_variables(f, nv) for f in _faces(core)]
-        mono = _unpack(b, nv)
-        for d, rank in reduced_homology(faces, field, prime).items():
-            entries.append((d + 1, mono, rank))
+        facets = _facets(_quotient_supports(b, a.packed, guard))
+        key = tuple(sorted(facets))
+        homology = memo.get(key)
+        if homology is None:
+            homology = memo[key] = _core_homology(_core(facets), memo, field, prime)
+        if homology:
+            mono = _unpack(b, nv)
+            entries.extend((d + 1, mono, rank) for d, rank in homology.items())
     entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
     return BettiTable(a.nvars, field, used_prime, tuple(entries))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .errors import LimitExceeded
 from .graphs import Graph
@@ -39,7 +38,6 @@ from .reports import VerificationReport, describe_instance
 from .symbolic import (
     CycleDecomposition,
     edge_ideal,
-    edge_monomial,
     layer_index,
     ordinary_power,
 )
@@ -67,20 +65,10 @@ class EdgeOrder:
             raise ValueError("variable ranks must be a permutation")
 
     @cached_property
-    def _edge_rank(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def variables_by_rank(self) -> tuple[int, ...]:
         """0-based variable indices, greatest variable first."""
         n = len(self.variable_rank)
         return tuple(sorted(range(n), key=lambda i: self.variable_rank[i]))
-
-    def edge_rank(self, e: Sequence[int]) -> int:
-        key = (min(e[0], e[1]), max(e[0], e[1]))
-        if key not in self._edge_rank:
-            raise ValueError(f"({key[0]},{key[1]}) is not in the edge order")
-        return self._edge_rank[key]
 
     @classmethod
     def for_graph(cls, g: Graph) -> "EdgeOrder":
@@ -218,21 +206,6 @@ def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactoriz
 
     rec(0, list(m), s)
     return out
-
-
-def edge_divides(g: Graph, e: Sequence[int], u: Monomial, s: int) -> bool:
-    """True when u/e still lies in the (s-1)-st power of the edge ideal.
-
-    Plain non-division (e does not divide u as a monomial) is False, not
-    an error; e must be an edge of the graph.
-    """
-    a, b = int(e[0]), int(e[1])
-    if not g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is not an edge of the graph")
-    em = edge_monomial(g, (a, b))
-    if not em.divides(u):
-        return False
-    return contains(ordinary_power(g, s - 1), u.div(em))
 
 
 def _ranked_exponents(m: Monomial, order: EdgeOrder) -> tuple[int, ...]:

@@ -199,6 +199,26 @@ def _lcms(xs: Iterable[int], ys: Sequence[int], guard: int) -> set[int]:
     return out
 
 
+def _row(gens: Sequence[int], nvars: int) -> tuple[int, int, int]:
+    """The packed generators side by side in one int, the first one most
+    significant, with `ones` (a 1 in the last byte of each generator's
+    chunk) and `guards` (the guard bits of every chunk)."""
+    row = int.from_bytes(b"".join(g.to_bytes(nvars, "big") for g in gens), "big")
+    ones = sum(1 << _BITS * nvars * j for j in range(len(gens)))
+    return row, ones, _guard(nvars) * ones
+
+
+def _lcm_row(x: int, row: int, ones: int, guards: int, width: int) -> bytes:
+    """lcm(x, y) for every generator y of a `_row`, as the `width` bytes of one row.
+
+    x * ones is x beside each generator, so one select serves every pair,
+    as in `_lcms`; chunk j of the bytes is lcm(x, y_j) in packed form.
+    """
+    xs = x * ones
+    t = ((xs | guards) - row) & guards
+    return (row ^ ((xs ^ row) & _spread(t))).to_bytes(width, "big")
+
+
 def _quotient_supports(b: int, gens: Iterable[int], guard: int) -> set[int]:
     """supp(b / g) as a mask of guard bits, for each packed g dividing b."""
     low = _spread(guard)

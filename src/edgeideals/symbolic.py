@@ -72,20 +72,6 @@ def symbolic_power(g: Graph, s: int, max_vertices: int = DEFAULT_MAX_VERTICES) -
     return ideal_intersection_many(primes)
 
 
-def symbolic_membership(m: Monomial, g: Graph, s: int) -> bool:
-    """m in I^(s) iff every minimal cover W has sum of W-exponents >= s.
-
-    This is the fast path; tests cross-check it against membership in
-    symbolic_power(g, s).
-    """
-    if m.nvars != g.vertex_count:
-        raise ValueError("monomial universe must match the vertex count")
-    covers = minimal_vertex_covers(g)
-    if covers.edgeless:
-        return False
-    return all(sum(m[v - 1] for v in w) >= s for w in covers.covers)
-
-
 @dataclass(frozen=True)
 class CycleDecomposition:
     """A designation of equal-length odd cycles with the derived ideals.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import pytest
 
@@ -26,7 +26,7 @@ from edgeideals.families import (
     random_forest,
     three_triangles,
 )
-from edgeideals.graphs import induced_matching_number
+from edgeideals.graphs import induced_matching_number, render_graph_text
 from edgeideals.homology import reduced_homology
 from edgeideals.monomials import (
     Monomial,
@@ -160,7 +160,7 @@ def test_linear_resolution_powers():
     for g in (complete_graph(3), complete_graph(4), three_triangles()[0]):
         ideal = edge_ideal(g)
         for s in (1, 2):
-            assert regularity(ordinary_power(g, s)) == 2 * s, g.render()
+            assert regularity(ordinary_power(g, s)) == 2 * s, render_graph_text(g)
     assert regularity(ordinary_power(complete_graph(3), 3)) == 6
 
 
@@ -172,7 +172,7 @@ def test_forest_quotient_regularity_is_induced_matching_number():
         if not g.edges:
             continue
         nu, _ = induced_matching_number(g)
-        assert quotient_regularity(edge_ideal(g)) == nu, g.render()
+        assert quotient_regularity(edge_ideal(g)) == nu, render_graph_text(g)
 
 
 def _random_squarefree_ideal(rng: random.Random) -> MonomialIdeal:
@@ -204,7 +204,7 @@ def test_engine_matches_hochster_oracle():
     ]
     for g in graphs:
         a = edge_ideal(g)
-        assert betti_table(a).entries == hochster_betti_table(a).entries, g.render()
+        assert betti_table(a).entries == hochster_betti_table(a).entries, render_graph_text(g)
     # the engine is not specific to edge ideals: other squarefree ideals, two fields
     for _ in range(25):
         a = _random_squarefree_ideal(rng)
@@ -258,37 +258,45 @@ def _tuples(facets: list[int]) -> list[tuple[int, ...]]:
     ]
 
 
-def _check_core(facets: list[int], fields=({}, {"field": "prime", "prime": 2})) -> list[int]:
+def _check_core(facets: list[int], fields=({}, {"field": "prime", "prime": 2})):
     """The core is a subcomplex with no dominated vertex left and the same
-    reduced homology as the full complex; a pruned core has none."""
+    reduced homology as the full complex; a pruned core has none.  Its
+    relabelling onto 0..k-1 keeps every vertex and the homology too.
+    Returns the core and the full complex's homology over the first field."""
     core = betti._core(facets)
     full, kept = _tuples(facets), _tuples(core)
+    relabelled = betti._relabel(core)
+    k = reduce(or_, core, 0).bit_count()
+    assert reduce(or_, relabelled, 0) == (1 << k) - 1, (core, relabelled)
     assert set(kept) <= set(full), (facets, core)
     assert betti._core(core) == core, (facets, core)
+    wants = []
     for kwargs in fields:
         want = reduced_homology(full, **kwargs)
+        wants.append(want)
         assert reduced_homology(kept, **kwargs) == want, (facets, core, kwargs)
+        assert reduced_homology(_tuples(relabelled), **kwargs) == want, (core, relabelled)
         if betti._contractible(core):
             assert want == {}, (facets, core, kwargs)
-    return core
+    return core, wants[0]
 
 
 def test_core_keeps_homology_of_facet_families():
     # {emptyset} is one facet but no simplex to prune: it carries H~_-1
-    assert _check_core([0]) == [0]
+    assert _check_core([0])[0] == [0]
     assert not betti._contractible(betti._core([0]))
     assert betti._core([]) == [] and not betti._contractible([])
-    assert betti._contractible(_check_core([_mask((0, 1, 2)), _mask((0, 3))]))
+    assert betti._contractible(_check_core([_mask((0, 1, 2)), _mask((0, 3))])[0])
     # two disjoint edges collapse to two points
-    assert len(_check_core([_mask((0, 1)), _mask((2, 3))])) == 2
+    assert len(_check_core([_mask((0, 1)), _mask((2, 3))])[0]) == 2
     # no vertex of RP^2 is dominated; its core is itself, with 2-torsion
     rp2 = [_mask(f) for f in _RP2]
-    assert sorted(_check_core(rp2)) == sorted(rp2)
+    assert sorted(_check_core(rp2)[0]) == sorted(rp2)
     assert reduced_homology(_tuples(rp2), field="prime", prime=2) == {1: 1, 2: 1}
     # vertices 0 and 1 dominate each other: deleting both at once leaves the
     # contractible edge {2, 3}, deleting one leaves a hollow triangle
     mutual = [_mask((0, 1, 2)), _mask((0, 1, 3)), _mask((2, 3))]
-    assert reduced_homology(_tuples(_check_core(mutual))) == {1: 1}
+    assert reduced_homology(_tuples(_check_core(mutual)[0])) == {1: 1}
     rng = random.Random(_SEED + 4)
     for _ in range(120):
         n = rng.randint(1, 8)
@@ -296,10 +304,21 @@ def test_core_keeps_homology_of_facet_families():
         _check_core(betti._facets(supports))
 
 
-def test_core_keeps_homology_on_power_multidegrees():
+def test_core_keeps_homology_on_power_multidegrees(monkeypatch):
     # I^(s) and I^s are not squarefree at s = 2, where the Hochster oracle
     # cannot check the engine; every non-cone complex of the catalog graphs'
-    # tables is compared with its core instead
+    # tables is compared with its core instead, and each table with one
+    # rebuilt from the full complexes' homology, with no memo
+    calls = {"core": 0, "homology": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(betti, "_core", counted("core", betti._core))
+    monkeypatch.setattr(betti, "reduced_homology", counted("homology", reduced_homology))
     bow, _ = three_triangles()
     two, _ = cycle_with_paths(5, [(1, 2), (1, 2)])
     compared = collapsed = 0
@@ -307,12 +326,26 @@ def test_core_keeps_homology_on_power_multidegrees():
         for s in (1, 2):
             for a in (symbolic_power(g, s), ordinary_power(g, s)):
                 guard = _guard(a.nvars)
+                entries, complexes, shapes = [], set(), set()
                 for b in lcm_closure(a):
                     facets = betti._facets(_quotient_supports(b, a.packed, guard))
+                    complexes.add(tuple(sorted(facets)))
                     if reduce(and_, facets):
                         continue  # a cone
                     compared += 1
-                    collapsed += betti._contractible(_check_core(facets, fields=({},)))
+                    core, homology = _check_core(facets, fields=({},))
+                    collapsed += betti._contractible(core)
+                    if not betti._contractible(core):
+                        shapes.add(tuple(sorted(betti._relabel(core))))
+                    mono = _unpack(b, a.nvars)
+                    for d, rank in homology.items():
+                        entries.append((d + 1, mono, rank))
+                entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
+                calls.update(core=0, homology=0)
+                assert betti_table(a).entries == tuple(entries), (render_graph_text(g), s)
+                # the memo takes one core per distinct facet tuple and one
+                # homology per distinct relabelled core
+                assert calls == {"core": len(complexes), "homology": len(shapes)}
     # 3,178 complexes, 1,244 of them contractible without being cones
     assert compared > 3000 and collapsed > 1000
 

@@ -8,7 +8,6 @@ from edgeideals.evenconnect import (
     EdgeOrder,
     EvenConnectionPath,
     colon_via_even_connections,
-    edge_divides,
     enumerate_factorizations,
     even_connections,
     expression_key,
@@ -74,26 +73,11 @@ def test_enumerate_factorizations_examples():
     assert unit[0].remainder == _mono("x3", 5)
 
 
-def test_edge_divides():
-    c5 = cycle_graph(5)
-    assert edge_divides(c5, (1, 2), _mono("x1*x2^2*x3", 5), 2)
-    assert not edge_divides(c5, (2, 3), _mono("x1*x2*x3*x4", 5), 2)
-    assert edge_divides(c5, (3, 4), _mono("x3*x4", 5), 1)
-    # plain non-division is False, not an error
-    assert not edge_divides(c5, (4, 5), _mono("x1*x2^2*x3", 5), 2)
-    with pytest.raises(ValueError):
-        edge_divides(c5, (1, 3), _mono("x1*x3", 5), 1)
-
-
 def test_default_edge_order():
     c5 = cycle_graph(5)
     order = EdgeOrder.for_graph(c5)
     assert order.edges == ((4, 5), (3, 4), (2, 3), (1, 5), (1, 2))
-    assert order.edge_rank((5, 4)) == 0
-    assert order.edge_rank((1, 2)) == 4
     assert order.variables_by_rank == (0, 1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        order.edge_rank((1, 3))
     with pytest.raises(ValueError):
         EdgeOrder(((1, 2), (1, 2)), (0, 1), "dup")
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -288,6 +289,24 @@ def test_packed_kernel_matches_tuple_reference_seeded():
         _check_against_naive(a, b, d)
         gens = [Monomial(tuple(rng.randint(0, 4) for _ in range(nv))) for _ in range(30)]
         assert [tuple(g) for g in minimalize(gens)] == _naive_ideal(gens)
+    # lcm closures whose generator row spans many machine words: 40-120
+    # generators on 9-16 variables, exponents up to 127.  Six variables take
+    # three levels each and every generator has level sum 6, so no generator
+    # divides another and the closure stays within 3^6 multidegrees.
+    shapes = [c for c in itertools.product(range(3), repeat=6) if sum(c) == 6]
+    for _ in range(6):
+        nv = rng.randint(9, 16)
+        active = rng.sample(range(nv), 6)
+        levels = {v: (0, *sorted(rng.sample(range(1, 128), 2))) for v in active}
+        gens = []
+        for shape in rng.sample(shapes, rng.randint(40, 120)):
+            exps = [0] * nv
+            for v, level in zip(active, shape):
+                exps[v] = levels[v][level]
+            gens.append(Monomial(exps))
+        a = MonomialIdeal(nv, gens)
+        assert len(a) == len(gens)
+        assert [_unpack(p, nv) for p in lcm_closure(a)] == _naive_closure(a.gens)
 
 
 @st.composite
