@@ -141,12 +141,21 @@ def _cmd_check(args) -> int:
     return exit_code(reports)
 
 
+def _no_edges(path: str, s: int) -> int:
+    """Report an edgeless graph, whose I^(s) is the zero ideal: a usage error."""
+    print(f"error: {path}: the graph has no edges, so I^({s}) is the zero ideal",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_sympow(args) -> int:
     lines = []
     for path in args.files:
         inst = _read_instance(path, args.max_vertices)
         for s in range(args.s_min, args.s_max + 1):
             ideal = symbolic_power(inst.graph, s, args.max_vertices)
+            if ideal.is_zero:
+                return _no_edges(path, s)
             lines.append(
                 f"# {path} s={s}: {len(ideal.gens)} minimal generators, "
                 f"alpha={alpha_degree(ideal)}"
@@ -162,11 +171,11 @@ def _cmd_reg(args) -> int:
     for path in args.files:
         inst = _read_instance(path, args.max_vertices)
         for s in range(args.s_min, args.s_max + 1):
+            ideal = symbolic_power(inst.graph, s, args.max_vertices)
+            if ideal.is_zero:
+                return _no_edges(path, s)
             table = betti_table(
-                symbolic_power(inst.graph, s, args.max_vertices),
-                field=field,
-                prime=prime,
-                max_generators=args.max_generators,
+                ideal, field=field, prime=prime, max_generators=args.max_generators
             )
             lines.append(f"# {path} s={s}: regularity {table.regularity} ({field})")
             for (i, j), rank in sorted(table.graded().items()):

@@ -167,11 +167,6 @@ def _degree(p: int, nvars: int) -> int:
     return sum(p.to_bytes(nvars, "big"))
 
 
-def _variables(p: int, nvars: int) -> tuple[int, ...]:
-    """Indices of the variables whose byte of p is nonzero."""
-    return tuple(i for i, e in enumerate(p.to_bytes(nvars, "big")) if e)
-
-
 def _member(p: int, gens: Iterable[int], guard: int) -> bool:
     """Some packed generator divides p."""
     pg = p | guard

@@ -35,7 +35,6 @@ from edgeideals.monomials import (
     _pack,
     _quotient_supports,
     _unpack,
-    _variables,
     alpha_degree,
     contains,
     ideal_power,
@@ -66,8 +65,13 @@ def _engine_complex(a: MonomialIdeal, b: Monomial):
     """The engine's full complex at b, as faces, and whether its core is pruned."""
     supports = _quotient_supports(_pack(b), a.packed, _guard(a.nvars))
     facets = betti._facets(supports)
-    faces = [_variables(f, a.nvars) for f in betti._faces(facets)]
+    faces = [_mask_variables(f, a.nvars) for f in betti._faces(facets)]
     return faces, betti._contractible(betti._core(facets))
+
+
+def _mask_variables(mask: int, nvars: int) -> tuple[int, ...]:
+    """The variables whose guard bit is set in a face mask of the engine."""
+    return tuple(i for i, e in enumerate(mask.to_bytes(nvars, "big")) if e)
 
 
 def test_upper_koszul_small_cases():
@@ -308,7 +312,7 @@ def test_core_keeps_homology_on_power_multidegrees(monkeypatch):
     # I^(s) and I^s are not squarefree at s = 2, where the Hochster oracle
     # cannot check the engine; every non-cone complex of the catalog graphs'
     # tables is compared with its core instead, and each table with one
-    # rebuilt from the full complexes' homology, with no memo
+    # rebuilt from the full complexes' homology, with no memo and no symmetry
     calls = {"core": 0, "homology": 0}
 
     def counted(name, fn):
@@ -326,16 +330,18 @@ def test_core_keeps_homology_on_power_multidegrees(monkeypatch):
         for s in (1, 2):
             for a in (symbolic_power(g, s), ordinary_power(g, s)):
                 guard = _guard(a.nvars)
+                representatives = _orbit_minima(a, lcm_closure(a))
                 entries, complexes, shapes = [], set(), set()
                 for b in lcm_closure(a):
                     facets = betti._facets(_quotient_supports(b, a.packed, guard))
-                    complexes.add(tuple(sorted(facets)))
+                    if b in representatives:
+                        complexes.add(tuple(sorted(facets)))
                     if reduce(and_, facets):
                         continue  # a cone
                     compared += 1
                     core, homology = _check_core(facets, fields=({},))
                     collapsed += betti._contractible(core)
-                    if not betti._contractible(core):
+                    if b in representatives and not betti._contractible(core):
                         shapes.add(tuple(sorted(betti._relabel(core))))
                     mono = _unpack(b, a.nvars)
                     for d, rank in homology.items():
@@ -343,11 +349,184 @@ def test_core_keeps_homology_on_power_multidegrees(monkeypatch):
                 entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
                 calls.update(core=0, homology=0)
                 assert betti_table(a).entries == tuple(entries), (render_graph_text(g), s)
-                # the memo takes one core per distinct facet tuple and one
-                # homology per distinct relabelled core
+                # only each orbit's least multidegree is built; among those the
+                # memo takes one core per distinct facet tuple and one homology
+                # per distinct relabelled core
                 assert calls == {"core": len(complexes), "homology": len(shapes)}
     # 3,178 complexes, 1,244 of them contractible without being cones
     assert compared > 3000 and collapsed > 1000
+
+
+def _act(perm: tuple[int, ...], exps) -> tuple[int, ...]:
+    """The exponent vector with variable i moved to perm[i]."""
+    out = [0] * len(exps)
+    for i, e in enumerate(exps):
+        out[perm[i]] = e
+    return tuple(out)
+
+
+def _generated(perms, nvars: int) -> set[tuple[int, ...]]:
+    """Every permutation that the given ones generate, by closing under composition."""
+    group = {tuple(range(nvars))}
+    stack = list(group)
+    while stack:
+        q = stack.pop()
+        for p in perms:
+            r = tuple(p[q[i]] for i in range(nvars))
+            if r not in group:
+                group.add(r)
+                stack.append(r)
+    return group
+
+
+def _brute_force_group(a: MonomialIdeal) -> set[tuple[int, ...]]:
+    """Every permutation that maps the generators onto themselves and fixes
+    the variables in none of them: permuting those moves no multidegree."""
+    gens = set(a.gens)
+    occurring = {i for g in a.gens for i in g.support()}
+    return {
+        p for p in itertools.permutations(range(a.nvars))
+        if all(_act(p, g) in gens for g in a.gens)
+        and all(p[i] == i for i in range(a.nvars) if i not in occurring)
+    }
+
+
+def _orbit_minima(a: MonomialIdeal, closure: list[int]) -> set[int]:
+    """The least packed multidegree of each orbit of the closure under the
+    group that `_automorphisms` generates."""
+    perms = betti._automorphisms(a)
+    minima, done = set(), set()
+    for b in closure:
+        if b in done:
+            continue
+        orbit, stack = {b}, [b]
+        while stack:
+            x = _unpack(stack.pop(), a.nvars)
+            for p in perms:
+                y = _pack(_act(p, x))
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        done |= orbit
+        minima.add(min(orbit))
+    return minima
+
+
+def _table_without_symmetry(a: MonomialIdeal, **kwargs) -> tuple:
+    """The table's entries built at every multidegree of the closure, one by one."""
+    field = kwargs.get("field", "rational")
+    prime = kwargs.get("prime", 32003)
+    guard, memo, entries = _guard(a.nvars), {}, []
+    for b in lcm_closure(a):
+        core = betti._core(betti._facets(_quotient_supports(b, a.packed, guard)))
+        mono = _unpack(b, a.nvars)
+        for d, rank in betti._core_homology(core, memo, field, prime).items():
+            entries.append((d + 1, mono, rank))
+    entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("refined", [True, False], ids=["refined", "unrefined"])
+def test_automorphisms_generate_the_brute_force_group(monkeypatch, refined):
+    # without colour refinement every variable is a candidate image, so the
+    # backtrack's own generator checks must keep out what is no automorphism
+    if not refined:
+        monkeypatch.setattr(betti, "_classes", lambda exps, nv: [0] * nv)
+    rng = random.Random(_SEED + 5)
+    bow, _ = three_triangles()
+    cases = [
+        edge_ideal(cycle_graph(5)),
+        edge_ideal(cycle_graph(6)),
+        edge_ideal(complete_graph(5)),
+        edge_ideal(path_graph(6)),
+        symbolic_power(cycle_graph(5), 2),
+        ordinary_power(cycle_graph(5), 2),
+        symbolic_power(complete_graph(4), 3),
+        ordinary_power(path_graph(4), 3),
+        parse_ideal("x1^2, x2^2, x1*x2*x3", 3),
+        parse_ideal("x1^3, x1*x2, x2*x3^2", 3),  # no symmetry
+        parse_ideal("x1^2*x2, x2^2*x3, x3^2*x1", 3),  # rotations only
+        parse_ideal("x1*x2, x2*x3", 5),  # x4 and x5 divide no generator
+    ]
+    cases += [
+        edge_ideal(random_connected_graph(rng, rng.randint(3, 6), 0.5)) for _ in range(8)
+    ]
+    cases += [symbolic_power(random_connected_graph(rng, 6, 0.4), 2) for _ in range(3)]
+    cases += [_random_squarefree_ideal(rng) for _ in range(8)]
+    cases = [a for a in cases if a.nvars <= 6]
+    orders = []
+    for a in cases:
+        perms = betti._automorphisms(a)
+        want = _brute_force_group(a)
+        assert _generated(perms, a.nvars) == want, a.render()
+        # no listed permutation is the identity, and each maps the generators onto themselves
+        assert all(p != tuple(range(a.nvars)) and p in want for p in perms), a.render()
+        orders.append(len(want))
+    assert orders[:4] == [10, 12, 120, 2] and orders[9:12] == [1, 3, 2]
+    assert 1 in orders[12:] and max(orders[12:]) > 2
+
+
+def test_orbit_table_matches_table_without_symmetry():
+    # one complex per orbit, its entries copied to every member, gives the
+    # table built at every multidegree: the catalog at s <= 2, random graphs
+    bow, _ = three_triangles()
+    two, _ = cycle_with_paths(5, [(1, 2), (1, 2)])
+    rng = random.Random(_SEED + 6)
+    graphs = [cycle_graph(5), cycle_graph(7), bow, two]
+    graphs += [random_connected_graph(rng, rng.randint(4, 7), 0.4) for _ in range(6)]
+    symmetric = 0
+    for g in graphs:
+        for s in (1, 2):
+            for a in {symbolic_power(g, s), ordinary_power(g, s)}:
+                symmetric += bool(betti._automorphisms(a))
+                for kwargs in ({}, {"field": "prime", "prime": 3}):
+                    got = betti_table(a, **kwargs).entries
+                    assert got == _table_without_symmetry(a, **kwargs), (render_graph_text(g), s)
+    assert symmetric >= 12
+
+
+def test_orbit_table_of_complete_graph():
+    # K10 has 10! automorphisms and 9 orbits of multidegrees, one per degree
+    a = edge_ideal(complete_graph(10))
+    assert len(_orbit_minima(a, lcm_closure(a))) == 9
+    assert betti_table(a).entries == _table_without_symmetry(a)
+
+
+def _naive_closure_message(a: MonomialIdeal, cap: int) -> str | None:
+    """Round-by-round lcm closure on exponent tuples; the cap message, or None."""
+    seen = frontier = set(a.gens)
+    while frontier:
+        fresh = {x.lcm(g) for x in frontier for g in a.gens} - seen
+        if len(seen) + len(fresh) > cap:
+            return (
+                f"lcm closure exceeds {cap} multidegrees "
+                f"({len(seen)} found, {len(fresh)} pending)"
+            )
+        seen, frontier = seen | fresh, fresh
+    return None
+
+
+def test_closure_cap_message_matches_naive_closure():
+    bow, _ = three_triangles()
+    symmetric = [
+        symbolic_power(cycle_graph(6), 2),
+        ordinary_power(complete_graph(5), 2),
+        edge_ideal(complete_graph(8)),
+        symbolic_power(bow, 2),
+        parse_ideal("x1^2*x2, x2^2*x3, x3^2*x1, x1*x2*x3*x4", 4),
+    ]
+    for a in symmetric:
+        assert betti._automorphisms(a)
+        size = len(lcm_closure(a))
+        for cap in sorted({len(a), len(a) + 1, size // 3, size // 2, size - 1, size}):
+            want = _naive_closure_message(a, cap)
+            if want is None:
+                assert cap >= size
+                betti_table(a, max_closure=cap)
+                continue
+            with pytest.raises(LimitExceeded) as info:
+                betti_table(a, max_closure=cap)
+            assert str(info.value) == want, (a.render(), cap)
 
 
 def test_regularity_at_least_alpha():
@@ -401,8 +580,12 @@ def test_resource_caps():
         betti_table(a, max_generators=5)
     with pytest.raises(LimitExceeded):
         betti_table(a, max_closure=10)
-    with pytest.raises(LimitExceeded):
+    # the support cap reads the union of the generators' supports, before the closure
+    with pytest.raises(LimitExceeded, match="multidegree support 5 exceeds the 2 cap"):
         betti_table(a, max_support=2)
+    with pytest.raises(LimitExceeded, match="support 5 exceeds"):
+        betti_table(a, max_closure=10, max_support=4)
+    assert betti_table(a, max_support=5).regularity == 4
 
 
 def test_socle_regularity():

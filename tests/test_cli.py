@@ -105,6 +105,28 @@ def test_invariants_requires_cycle(tmp_path, capsys):
     assert "no designated cycle" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def edgeless_file(tmp_path):
+    p = tmp_path / "edgeless.graph"
+    p.write_text("n 3\n")
+    return str(p)
+
+
+def test_reg_edgeless_graph_exits_2(edgeless_file, capsys):
+    # I^(s) of a graph with no edges is the zero ideal, which has no Betti table
+    assert main(["reg", edgeless_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {edgeless_file}: the graph has no edges, so I^(1) is the zero ideal\n"
+
+
+def test_sympow_edgeless_graph_exits_2(edgeless_file, capsys):
+    assert main(["sympow", edgeless_file, "--s-min", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {edgeless_file}: the graph has no edges, so I^(2) is the zero ideal\n"
+
+
 def test_check_json_deterministic(c5_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["check", c5_file, "--s-max", "2", "--format", "json"]

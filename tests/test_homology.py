@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,6 +129,53 @@ def test_rank_sparse_wide():
     want = int(np.linalg.matrix_rank(dense))
     assert rank_rational(rows) == want
     assert rank_mod_p(rows, 32003) == want
+
+
+def _dense_rank(dense: list[list[int]], p: int | None = None) -> int:
+    """Rank by textbook Gaussian elimination, over Q with Fractions or over GF(p)."""
+    if p is None:
+        work = [[Fraction(v) for v in row] for row in dense]
+    else:
+        work = [[v % p for v in row] for row in dense]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inverse = 1 / work[rank][col] if p is None else pow(work[rank][col], -1, p)
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col] * inverse
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+                if p is not None:
+                    work[r] = [a % p for a in work[r]]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_never_exceeds_rational_rank():
+    # sparse {-1, 0, 1} matrices, like boundary maps; by universal
+    # coefficients a rank mod p is at most the rational rank, and both
+    # engines agree with dense elimination written out here
+    rng = random.Random(_SEED + 3)
+    dropped = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.2, 0.4, 0.7])
+        dense = [
+            [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+        rational = rank_rational(rows)
+        assert rational == _dense_rank(dense), dense
+        for p in (2, 3, 32003):
+            modular = rank_mod_p(rows, p)
+            assert modular == _dense_rank(dense, p), (dense, p)
+            assert modular <= rational, (dense, p)
+            dropped += modular < rational
+    assert dropped > 10
 
 
 def test_boundary_rank_empty_edges():
