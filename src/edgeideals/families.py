@@ -1,4 +1,5 @@
-"""Construction helpers for the graph families used by tests and suites."""
+"""Construction helpers for the graph families of the instance catalog and the
+seeded suites."""
 
 from __future__ import annotations
 
@@ -17,15 +18,6 @@ def cycle_graph(k: int) -> Graph:
 
 def cycle_certificate(k: int) -> CycleCertificate:
     return CycleCertificate.check(cycle_graph(k), tuple(range(1, k + 1)))
-
-
-def path_graph(k: int) -> Graph:
-    """Path on k vertices (k - 1 edges)."""
-    return Graph(k, [(i, i + 1) for i in range(1, k)])
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
 
 
 def attach_path(g: Graph, at: int, length: int) -> Graph:
@@ -100,22 +92,3 @@ def random_connected_graph(
             continue
         return g
     raise RuntimeError(f"no admissible random graph found (n={n}, p={p})")
-
-
-def random_forest(rng: random.Random, n: int) -> Graph:
-    """Random labelled forest: each vertex beyond the first may attach backwards."""
-    edges = []
-    for v in range(2, n + 1):
-        if rng.random() < 0.8:
-            edges.append((rng.randint(1, v - 1), v))
-    return Graph(n, edges)
-
-
-def connected_bipartite_graphs(n: int):
-    """Yield every connected bipartite graph on exactly n labelled vertices."""
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph(n, edges)
-        if _connected(g) and is_bipartite(g).bipartite:
-            yield g

@@ -435,16 +435,6 @@ def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._from_packed(a.nvars, _lcms(a.packed, b.packed, _guard(a.nvars)))
 
 
-def ideal_intersection_many(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    """Left-to-right fold of pairwise intersections."""
-    if not ideals:
-        raise ValueError("empty intersection is the unit ideal of an unknown universe")
-    out = ideals[0]
-    for a in ideals[1:]:
-        out = ideal_intersection(out, a)
-    return out
-
-
 def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
     """Colon a : d for d a Monomial or a MonomialIdeal.
 
@@ -461,7 +451,10 @@ def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
         _check_pair(a, d)
         if d.is_zero:
             raise ValueError("colon by the zero ideal is undefined here")
-        return ideal_intersection_many([ideal_colon(a, g) for g in d.gens])
+        out = ideal_colon(a, d.gens[0])
+        for g in d.gens[1:]:
+            out = ideal_intersection(out, ideal_colon(a, g))
+        return out
     raise TypeError(f"cannot colon by {type(d).__name__}")
 
 
@@ -491,22 +484,35 @@ def variable_power_ideal(
     return MonomialIdeal._from_packed(nvars, _of_degree(nvars, t, tuple(variables)))
 
 
-def intersect_with_m_power(a: MonomialIdeal, t: int) -> MonomialIdeal:
-    """a intersected with the t-th power of the maximal ideal (all variables).
+def _meet_prime_power(a: MonomialIdeal, variables: Sequence[int], t: int) -> MonomialIdeal:
+    """a intersected with the t-th power of the prime of the chosen variables (0-based).
 
-    A monomial lies in m^t exactly when its degree is >= t, so each minimal
-    generator g of a either survives as-is (deg g >= t) or contributes
-    g * (every monomial of degree t - deg g).
+    A monomial lies in that power exactly when its degree in the chosen
+    variables is >= t, so each minimal generator g of a either survives
+    as-is or, short by a deficit d, contributes g * (every monomial of
+    degree d in the chosen variables); each deficit's monomials are built
+    once, and the result is minimalized once.
     """
     nv = a.nvars
+    chosen = set(variables)
+    mask = int.from_bytes(bytes(MAX_EXPONENT if i in chosen else 0 for i in range(nv)), "big")
+    fills: dict[int, set[int]] = {}
     gens: set[int] = set()
     for g in a.packed:
-        deficit = t - _degree(g, nv)
+        deficit = t - _degree(g & mask, nv)
         if deficit <= 0:
             gens.add(g)
-        else:
-            gens.update(g + w for w in _of_degree(nv, deficit, range(nv)))
+            continue
+        fill = fills.get(deficit)
+        if fill is None:
+            fill = fills[deficit] = _of_degree(nv, deficit, variables)
+        gens.update(g + w for w in fill)
     return MonomialIdeal._from_packed(nv, gens)
+
+
+def intersect_with_m_power(a: MonomialIdeal, t: int) -> MonomialIdeal:
+    """a intersected with the t-th power of the maximal ideal (all variables)."""
+    return _meet_prime_power(a, range(a.nvars), t)
 
 
 def _check_pair(a: MonomialIdeal, b: MonomialIdeal) -> None:

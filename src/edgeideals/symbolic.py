@@ -2,8 +2,11 @@
 
 The ground truth for I^(s) is always the intersection of the s-th powers
 of the minimal-cover primes (edge ideals are radical, so the minimal
-covers carry the whole associated set).  The structured sums built here
-are verified against that oracle, never the other way round.
+covers carry the whole associated set).  It is taken one cover at a time:
+a monomial lies in (W)^s exactly when its degree in W's variables is at
+least s, so each generator either stays or is raised by every W-monomial
+of its deficit.  The structured sums built here are verified against that
+oracle, never the other way round.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from .graphs import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _meet_prime_power,
     alpha_degree,
     contains,
     first_difference,
-    ideal_intersection_many,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -59,17 +62,20 @@ def ordinary_power(g: Graph, s: int) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def symbolic_power(g: Graph, s: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> MonomialIdeal:
-    """I(G)^(s) as the intersection over minimal covers W of (W)^s."""
+    """I(G)^(s) as the intersection over minimal covers W of (W)^s.
+
+    The unit ideal is met with one (W)^s at a time, in cover order, so the
+    first step gives the first cover's power itself.
+    """
     if s < 1:
         raise ValueError("symbolic power needs s >= 1")
     covers = minimal_vertex_covers(g, max_vertices)
     if covers.edgeless:
         return MonomialIdeal.zero(g.vertex_count)
-    primes = [
-        variable_power_ideal(g.vertex_count, [v - 1 for v in w], s)
-        for w in covers.covers
-    ]
-    return ideal_intersection_many(primes)
+    out = MonomialIdeal.unit(g.vertex_count)
+    for w in covers.covers:
+        out = _meet_prime_power(out, [v - 1 for v in w], s)
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v` (each test name is one
 criterion) or with `-s` to see the per-criterion summary lines.  The
 deeper checks of criteria 7, 10 and 12 run only when EDGEIDEALS_EXTENDED=1
-is set; with them the file takes about 20 s on a 2-vCPU machine, and CI
+is set; with them the file takes about 10 s on a 2-vCPU machine, and CI
 runs it that way too.
 """
 
@@ -23,12 +23,10 @@ from edgeideals.evenconnect import (
 )
 from edgeideals.families import (
     attach_path,
-    connected_bipartite_graphs,
     cycle_certificate,
     cycle_graph,
     cycle_with_paths,
     random_connected_graph,
-    random_forest,
     three_triangles,
 )
 from edgeideals.graphs import (
@@ -49,6 +47,8 @@ from edgeideals.symbolic import (
     ordinary_power,
     symbolic_power,
 )
+
+from graph_helpers import connected_bipartite_graphs, random_forest
 
 EXTENDED = bool(os.environ.get("EDGEIDEALS_EXTENDED"))
 

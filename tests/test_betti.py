@@ -18,12 +18,9 @@ from edgeideals.betti import (
 )
 from edgeideals.errors import LimitExceeded
 from edgeideals.families import (
-    complete_graph,
     cycle_graph,
     cycle_with_paths,
-    path_graph,
     random_connected_graph,
-    random_forest,
     three_triangles,
 )
 from edgeideals.graphs import induced_matching_number, render_graph_text
@@ -44,6 +41,8 @@ from edgeideals.monomials import (
     variable_power_ideal,
 )
 from edgeideals.symbolic import edge_ideal, ordinary_power, symbolic_power
+
+from graph_helpers import complete_graph, path_graph, random_forest
 
 _SEED = 90217
 

@@ -22,7 +22,6 @@ from edgeideals.families import (
     cycle_certificate,
     cycle_graph,
     cycle_with_paths,
-    path_graph,
     random_connected_graph,
     three_triangles,
 )
@@ -35,6 +34,8 @@ from edgeideals.monomials import (
     parse_monomial,
 )
 from edgeideals.symbolic import CycleDecomposition, edge_ideal, ordinary_power
+
+from graph_helpers import path_graph
 
 _SEED = 52061
 

@@ -8,10 +8,8 @@ import pytest
 from edgeideals.errors import GraphFormatError, LimitExceeded
 from edgeideals.families import (
     attach_path,
-    complete_graph,
     cycle_graph,
     cycle_with_paths,
-    path_graph,
     random_connected_graph,
     random_graph,
     three_triangles,
@@ -30,6 +28,8 @@ from edgeideals.graphs import (
     parse_graph_text,
     render_graph_text,
 )
+
+from graph_helpers import complete_graph, path_graph
 
 _SEED = 40909
 

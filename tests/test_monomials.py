@@ -12,6 +12,7 @@ from edgeideals.errors import LimitExceeded, UniverseMismatch
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    _meet_prime_power,
     _unpack,
     alpha_degree,
     contains,
@@ -20,7 +21,6 @@ from edgeideals.monomials import (
     ideal_contains,
     ideal_equal,
     ideal_intersection,
-    ideal_intersection_many,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -224,13 +224,37 @@ def test_alpha_degree_is_additive_on_variable_powers():
     assert alpha_degree(ideal_product(p, p)) == 6
 
 
-def test_intersection_fold_matches_pairwise():
-    a = parse_ideal("x1^2, x2", 3)
-    b = parse_ideal("x1, x2^2", 3)
-    c = parse_ideal("x3", 3)
-    lhs = ideal_intersection_many([a, b, c])
-    rhs = ideal_intersection(ideal_intersection(a, b), c)
-    assert ideal_equal(lhs, rhs)
+def test_meet_prime_power_matches_pairwise_lcms():
+    # zero, unit and random ideals; W empty, partial or full; t = 0..5
+    rng = random.Random(_SEED + 6)
+    shapes = {"empty": 0, "partial": 0, "full": 0}
+    for _ in range(300):
+        nv = rng.randint(1, 8)
+        gens = [tuple(rng.randint(0, 4) for _ in range(nv)) for _ in range(rng.randint(0, 8))]
+        a = MonomialIdeal(nv, gens)
+        w = sorted(rng.sample(range(nv), rng.randint(0, nv)))
+        shapes["empty" if not w else "full" if len(w) == nv else "partial"] += 1
+        t = rng.randint(0, 5)
+        got = _meet_prime_power(a, w, t)
+        want = ideal_intersection(a, variable_power_ideal(nv, w, t))
+        assert got.packed == want.packed, (a, w, t)
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_meet_prime_power_exponent_limit():
+    # a deficit filled past 127 raises, in the first variable and in the last
+    with pytest.raises(LimitExceeded):
+        _meet_prime_power(MonomialIdeal(2, [(100, 0)]), [0], 128)
+    with pytest.raises(LimitExceeded):
+        _meet_prime_power(MonomialIdeal(2, [(0, 100)]), [1], 128)
+    with pytest.raises(LimitExceeded):
+        _meet_prime_power(MonomialIdeal(2, [(0, 5)]), [0], 128)
+    # a generator already deep enough in W is kept whatever t is
+    deep = MonomialIdeal(2, [(100, 100)])
+    assert _meet_prime_power(deep, [0, 1], 150) == deep
+    assert _meet_prime_power(MonomialIdeal(2, [(100, 0)]), [0], 127).gens == (
+        Monomial((127, 0)),
+    )
 
 
 def test_monomials_of_degree_count():

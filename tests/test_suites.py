@@ -8,14 +8,15 @@ from edgeideals.families import (
     cycle_certificate,
     cycle_graph,
     cycle_with_paths,
-    path_graph,
     three_triangles,
 )
-from edgeideals.graphs import parse_graph_text
+from edgeideals.graphs import Graph, parse_graph_text
 from edgeideals.monomials import ideal_power, ideal_sum, variable_power_ideal
 from edgeideals.reports import RunConfig, exit_code
 from edgeideals.suites import GraphInstance, default_instances, run_suite
 from edgeideals.symbolic import ordinary_power, symbolic_power
+
+from graph_helpers import path_graph
 
 
 def _by_check(reports):
@@ -68,6 +69,20 @@ def test_suites_skip_without_designated_cycle():
     by = _by_check(reports)
     assert all(r.status == "pass" for r in by[("banerjee", "colon-equivalence")])
     assert all(r.status == "pass" for r in by[("orderings", "order-lemma")])
+
+
+def test_edgeless_graph_skips_the_rows_that_compare_nothing():
+    # I^s is zero, so the colon and order-lemma rows have no generators to compare
+    cfg = RunConfig(s_min=1, s_max=3, suites=("banerjee", "orderings"))
+    reports = run_suite(cfg, [GraphInstance(Graph(3, []), (), "edgeless")])
+    by = _by_check(reports)
+    rows = by[("banerjee", "colon-equivalence")] + by[("orderings", "order-lemma")]
+    assert len(rows) == 2 + 6
+    for r in rows:
+        assert r.status == "skipped", (r.check, r.details)
+        assert "edge set is empty" in r.reason
+        assert r.instance.label == "edgeless"
+    assert {r.check for r in reports if r.status != "skipped"} == {"seeded-colon"}
 
 
 def test_regularity_gate_reason():

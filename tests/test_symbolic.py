@@ -6,23 +6,30 @@ from fractions import Fraction
 
 import pytest
 
+from edgeideals.errors import LimitExceeded
 from edgeideals.families import (
-    connected_bipartite_graphs,
+    _connected,
     cycle_certificate,
     cycle_graph,
     cycle_with_paths,
+    random_graph,
     three_triangles,
 )
 from edgeideals.graphs import CycleCertificate, Graph, minimal_vertex_covers
 from edgeideals.monomials import (
     Monomial,
+    MonomialIdeal,
     contains,
     ideal_equal,
+    ideal_intersection,
     ideal_power,
     monomials_of_degree,
     parse_ideal,
     parse_monomial,
+    variable_power_ideal,
 )
+from edgeideals.reports import RunConfig
+from edgeideals.suites import default_instances
 from edgeideals.symbolic import (
     CycleDecomposition,
     alpha_formula,
@@ -35,6 +42,8 @@ from edgeideals.symbolic import (
     ordinary_power,
     symbolic_power,
 )
+
+from graph_helpers import complete_graph, connected_bipartite_graphs
 
 _SEED = 61553
 
@@ -81,6 +90,42 @@ def test_symbolic_power_small_cases():
     with pytest.raises(ValueError):
         symbolic_power(g, 0)
     assert symbolic_power(Graph(4, []), 2).is_zero
+
+
+def _pairwise_cover_fold(g: Graph, s: int) -> MonomialIdeal:
+    """Reference I^(s): pairwise-lcm intersection of (W)^s over the minimal covers."""
+    covers = minimal_vertex_covers(g)
+    if covers.edgeless:
+        return MonomialIdeal.zero(g.vertex_count)
+    out = None
+    for w in covers.covers:
+        prime = variable_power_ideal(g.vertex_count, [v - 1 for v in w], s)
+        out = prime if out is None else ideal_intersection(out, prime)
+    return out
+
+
+def test_symbolic_power_matches_pairwise_cover_fold():
+    graphs = [i.graph for i in default_instances(RunConfig())] + [complete_graph(6)]
+    rng = random.Random(_SEED + 1)
+    disconnected = isolated = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        touched = {v for e in g.edges for v in e}
+        isolated += len(touched) < g.vertex_count
+        disconnected += not _connected(g)
+        graphs.append(g)
+    assert disconnected >= 5 and isolated >= 5, (disconnected, isolated)
+    for g in graphs:
+        for s in range(1, 5):
+            got = symbolic_power(g, s)
+            assert got.packed == _pairwise_cover_fold(g, s).packed, (g.edges, s)
+
+
+def test_symbolic_power_limits():
+    with pytest.raises(LimitExceeded):
+        symbolic_power(Graph(2, [(1, 2)]), 128)
+    for s in (1, 2, 5, 128):
+        assert symbolic_power(Graph(3, []), s).is_zero
 
 
 def test_symbolic_membership_against_cover_oracle():
