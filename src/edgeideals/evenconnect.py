@@ -5,19 +5,21 @@ A generator of the s-th power of an edge ideal is a product of s edges,
 usually in several ways; each way is an expression.  Expressions are
 compared through a fixed total order on the edges, monomials through
 their best expressions, and the colon of consecutive powers is rebuilt
-from even-connection walks and compared against the directly computed
-colon.  Everything here is exhaustive search over desk-scale instances.
+from the even-connected vertex pairs of its factorizations and compared
+against the directly computed colon.  Everything here is exhaustive search
+over desk-scale instances.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import LimitExceeded
 from .graphs import Graph
 from .monomials import (
+    _BITS,
     Monomial,
     MonomialIdeal,
     _colon,
@@ -277,110 +279,57 @@ def generator_ordering(
     )
 
 
-@dataclass(frozen=True)
-class EvenConnectionPath:
-    """A walk p_0, ..., p_{2k+1} with k >= 1 connecting its endpoints.
-
-    Steps at even positions (p_0 p_1, p_2 p_3, ...) are edges of the graph;
-    steps at odd positions (p_1 p_2, ...) come from the factorization, each
-    edge used at most its multiplicity.  Vertices may repeat.
-    """
-
-    vertices: tuple[int, ...]
-    factorization: EdgeFactorization
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
-
-    def validate(self, g: Graph) -> None:
-        p = self.vertices
-        if len(p) < 4 or len(p) % 2 != 0:
-            raise ValueError(
-                f"path of {len(p)} vertices is not of the form p_0..p_(2k+1), k >= 1"
-            )
-        for l in range(len(p) // 2):
-            a, b = p[2 * l], p[2 * l + 1]
-            if not g.has_edge(a, b):
-                raise ValueError(f"step ({a},{b}) is not an edge of the graph")
-        used: Counter = Counter()
-        for l in range(1, len(p) // 2):
-            a, b = p[2 * l - 1], p[2 * l]
-            used[(min(a, b), max(a, b))] += 1
-        counts = self.factorization.counts()
-        for e, c in used.items():
-            have = counts.get(e, 0)
-            if c > have:
-                raise ValueError(
-                    f"edge ({e[0]},{e[1]}) used {c} times, factorization has {have}"
-                )
-
-    def render(self) -> str:
-        return "-".join(str(v) for v in self.vertices)
-
-
 def even_connections(
     f: EdgeFactorization, g: Graph, max_states: int = DEFAULT_MAX_STATES
-) -> list[tuple[tuple[int, int], EvenConnectionPath]]:
-    """All vertex pairs joined by some walk through the factorization.
+) -> tuple[tuple[int, int], ...]:
+    """All vertex pairs joined by some walk through the factorization, sorted.
 
-    Pairs are unordered (returned with min endpoint first) and include
-    x = x via closed walks.  One shortest witness per pair, found by
-    breadth-first search over (vertex, remaining edge multiset) states.
+    A walk p_0, ..., p_(2k+1) with k >= 1 takes graph edges at even steps
+    (p_0 p_1, p_2 p_3, ...) and factorization edges at odd steps, each at
+    most its multiplicity; vertices may repeat.  Pairs are unordered (min
+    endpoint first) and include x = x via closed walks.  From each start x
+    a depth-first search runs over (vertex, remaining usage) states, the
+    usage packed one byte per distinct factorization edge; x pairs with
+    every neighbor of a vertex reached after at least one factorization step.
     """
     distinct = sorted(set(f.edges))
-    full = tuple(Counter(f.edges)[e] for e in distinct)
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for idx, (u, v) in enumerate(distinct):
-        incident.setdefault(u, []).append((idx, v))
-        incident.setdefault(v, []).append((idx, u))
-    best: dict[tuple[int, int], EvenConnectionPath] = {}
+    counts = Counter(f.edges)
+    full = sum(counts[e] << _BITS * i for i, e in enumerate(distinct))
+    # steps[b]: (other endpoint, unit, byte mask) of each factorization edge at b
+    steps: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (u, v) in enumerate(distinct):
+        unit, mask = 1 << _BITS * i, 0xFF << _BITS * i
+        steps.setdefault(u, []).append((v, unit, mask))
+        steps.setdefault(v, []).append((u, unit, mask))
+    moves = {
+        a: [step for b in g.neighbors(a) for step in steps.get(b, ())]
+        for a in g.vertices
+    }
+    pairs: set[tuple[int, int]] = set()
     for x in g.vertices:
         if g.degree(x) == 0:
             continue
-        start = (x, full)
-        parent: dict = {start: None}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            a, usage = state
-            for b in sorted(g.neighbors(a)):
-                if usage != full:
-                    pair = (min(x, b), max(x, b))
-                    if pair not in best:
-                        path = EvenConnectionPath(
-                            _rebuild_walk(parent, state) + (b,), f
-                        )
-                        path.validate(g)
-                        best[pair] = path
-                for idx, other in incident.get(b, ()):
-                    if usage[idx] == 0:
-                        continue
-                    nxt = (
-                        other,
-                        usage[:idx] + (usage[idx] - 1,) + usage[idx + 1 :],
-                    )
-                    if nxt not in parent:
-                        parent[nxt] = (state, b)
-                        if len(parent) > max_states:
+        seen = {(x, full)}
+        stack = [(x, full)]
+        reached: set[int] = set()
+        while stack:
+            a, usage = stack.pop()
+            if usage != full:
+                reached.add(a)
+            for other, unit, mask in moves[a]:
+                if usage & mask:
+                    nxt = (other, usage - unit)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        if len(seen) > max_states:
                             raise LimitExceeded(
                                 f"even-connection search exceeds {max_states} states"
                             )
-                        queue.append(nxt)
-    return sorted(best.items())
-
-
-def _rebuild_walk(parent: dict, state) -> tuple[int, ...]:
-    chain = []
-    cur = state
-    while parent[cur] is not None:
-        prev, via = parent[cur]
-        chain.append((via, cur[0]))
-        cur = prev
-    verts = [cur[0]]
-    for via, landed in reversed(chain):
-        verts += [via, landed]
-    return tuple(verts)
+                        stack.append(nxt)
+        for a in reached:
+            for b in g.neighbors(a):
+                pairs.add((min(x, b), max(x, b)))
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -413,17 +362,14 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
             f"{u.render()} is not in the {s - 1}-st power of the edge ideal"
         )
     nv = g.vertex_count
-    pair_set: set[tuple[int, int]] = set()
+    pairs: set[tuple[int, int]] = set()
     for f in facs:
-        for pair, _path in even_connections(f, g):
-            pair_set.add(pair)
-    extra = []
-    for a, b in sorted(pair_set):
-        exps = [0] * nv
-        exps[a - 1] += 1
-        exps[b - 1] += 1
-        extra.append(Monomial(exps))
-    built = ideal_sum(edge_ideal(g), MonomialIdeal(nv, extra))
+        pairs.update(even_connections(f, g))
+    built = MonomialIdeal._from_packed(
+        nv,
+        {(1 << _BITS * (nv - a)) + (1 << _BITS * (nv - b)) for a, b in pairs}
+        | set(edge_ideal(g).packed),
+    )
     direct = ideal_colon(ordinary_power(g, s), u)
     diff = first_difference(built, direct)
     matches = diff is None
@@ -437,7 +383,7 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
         matches=matches,
         witness=witness,
         witness_side=side,
-        pairs=tuple(sorted(pair_set)),
+        pairs=tuple(sorted(pairs)),
     )
 
 
@@ -516,11 +462,15 @@ def verify_leaf_lemma(g: Graph, cd: CycleDecomposition, s: int) -> VerificationR
     go = generator_ordering(g, s, 0, order)
     us = go.generators
     zset = set(lp.peeled)
+    nv = g.vertex_count
+    guard = _guard(nv)
+    packed = [_pack(u) for u in us]
     checked = 0
     for t, ut in enumerate(us):
         seen_pairs: set[tuple[int, int]] = set()
+        earlier = None  # the colons u_p : u_t for p < t, built on first use
         for f in enumerate_factorizations(ut, g, s):
-            for (a, b), _path in even_connections(f, g):
+            for a, b in even_connections(f, g):
                 if a == b or a not in zset or b not in zset:
                     continue
                 if g.has_edge(a, b):
@@ -530,10 +480,10 @@ def verify_leaf_lemma(g: Graph, cd: CycleDecomposition, s: int) -> VerificationR
                 seen_pairs.add((a, b))
                 checked += 1
                 k_min = min(lp.z_index(a), lp.z_index(b))
-                target = Monomial.variable(
-                    lp.peeled[k_min - 1] - 1, g.vertex_count
-                )
-                if not any(us[p].colon(ut) == target for p in range(t)):
+                z = lp.peeled[k_min - 1]
+                if earlier is None:
+                    earlier = {_colon(up, packed[t], guard) for up in packed[:t]}
+                if 1 << _BITS * (nv - z) not in earlier:
                     return VerificationReport(
                         suite="orderings",
                         check="leaf-lemma",
@@ -542,7 +492,7 @@ def verify_leaf_lemma(g: Graph, cd: CycleDecomposition, s: int) -> VerificationR
                         witnesses=(
                             f"u_t={ut.render()}",
                             f"pair (x{a},x{b})",
-                            f"no greater generator with colon ({target.render()})",
+                            f"no greater generator with colon (x{z})",
                         ),
                         config=config,
                     )

@@ -78,24 +78,9 @@ class Monomial(tuple):
         _same_universe(self, other)
         return all(a <= b for a, b in zip(self, other))
 
-    def div(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if the division is not exact."""
-        _same_universe(self, other)
-        if not other.divides(self):
-            raise ValueError(f"{other.render()} does not divide {self.render()}")
-        return _monomial(a - b for a, b in zip(self, other))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _same_universe(self, other)
-        return _monomial(min(a, b) for a, b in zip(self, other))
-
     def lcm(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
         return _monomial(max(a, b) for a, b in zip(self, other))
-
-    def colon(self, other: "Monomial") -> "Monomial":
-        """self : other = self / gcd(self, other)."""
-        return self.div(self.gcd(other))
 
     def render(self) -> str:
         if self.is_unit():
@@ -249,7 +234,7 @@ def _minimal(gens: Collection[int], nvars: int) -> tuple[int, ...]:
     raises LimitExceeded here.
     """
     guard = _guard(nvars)
-    ordered = sorted((_degree(p, nvars), -p) for p in set(gens))
+    ordered = sorted([(sum(p.to_bytes(nvars, "big")), -p) for p in set(gens)])
     kept: list[int] = []
     lower: list[int] = []
     degree = -1
@@ -446,7 +431,13 @@ def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
             raise UniverseMismatch("colon divisor universe differs")
         guard = _guard(a.nvars)
         dp = _pack(d)
-        return MonomialIdeal._from_packed(a.nvars, {_colon(g, dp, guard) for g in a.packed})
+        shift = _BITS - 1
+        quotients = set()
+        for g in a.packed:  # _colon(g, dp, guard), inlined
+            diff = (g | guard) - dp
+            t = diff & guard
+            quotients.add(diff & (t - (t >> shift)))
+        return MonomialIdeal._from_packed(a.nvars, quotients)
     if isinstance(d, MonomialIdeal):
         _check_pair(a, d)
         if d.is_zero:

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from edgeideals.evenconnect import (
     EdgeOrder,
-    EvenConnectionPath,
     colon_via_even_connections,
     enumerate_factorizations,
     even_connections,
@@ -19,20 +19,26 @@ from edgeideals.evenconnect import (
     verify_order_lemma,
 )
 from edgeideals.families import (
+    _connected,
     cycle_certificate,
     cycle_graph,
     cycle_with_paths,
     random_connected_graph,
+    random_graph,
     three_triangles,
 )
+from edgeideals.errors import LimitExceeded
 from edgeideals.graphs import CycleCertificate, Graph
 from edgeideals.monomials import (
     Monomial,
+    MonomialIdeal,
     ideal_equal,
     ideal_sum,
     parse_ideal,
     parse_monomial,
 )
+from edgeideals.reports import RunConfig
+from edgeideals.suites import default_instances
 from edgeideals.symbolic import CycleDecomposition, edge_ideal, ordinary_power
 
 from graph_helpers import path_graph
@@ -138,44 +144,106 @@ def test_even_connections_single_edge_cycle():
     c5 = cycle_graph(5)
     f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
     pairs = even_connections(f, c5)
-    assert [p for p, _ in pairs] == [(1, 2), (1, 5), (2, 3), (3, 5)]
-    for _, path in pairs:
-        path.validate(c5)
-    by_pair = dict(pairs)
-    assert by_pair[(3, 5)].vertices in ((3, 2, 1, 5), (5, 1, 2, 3))
+    assert pairs == ((1, 2), (1, 5), (2, 3), (3, 5))
+    # (3,5) through the walk 3-2-1-5
+    assert _walk_pairs(f, c5) == list(pairs)
 
 
 def test_even_connections_self_pair():
     c5 = cycle_graph(5)
     u = _mono("x1*x2*x3*x4", 5)
     f = enumerate_factorizations(u, c5, 2)[0]
-    pairs = dict(even_connections(f, c5))
-    assert (5, 5) in pairs
-    path = pairs[(5, 5)]
-    path.validate(c5)
-    assert path.vertices[0] == path.vertices[-1] == 5
+    assert (5, 5) in even_connections(f, c5)  # 5-1-2-3-4-5
 
 
 def test_even_connections_isolated_edge():
     g = Graph(4, [(1, 2), (3, 4)])
     f = enumerate_factorizations(_mono("x1*x2", 4), g, 1)[0]
-    pairs = even_connections(f, g)
     # only the bounce along the edge itself; nothing new for the colon
-    assert [p for p, _ in pairs] == [(1, 2)]
+    assert even_connections(f, g) == ((1, 2),)
 
 
-def test_path_validation_rejects_bad_walks():
+def _walk_pairs(f, g: Graph, reuse: bool = False, max_steps: int = 0) -> list:
+    """Endpoints of every walk p_0, ..., p_(2k+1) with k >= 1, by brute force.
+
+    Steps p_0 p_1, p_2 p_3, ... are graph edges and steps p_1 p_2, ... edges
+    of the factorization, each used at most its multiplicity; with `reuse`
+    they may repeat freely, up to `max_steps` factorization steps in all.
+    """
+    left = Counter(f.edges)
+    limit = max_steps if reuse else len(f.edges)
+    pairs = set()
+
+    def walk(start: int, at: int, steps: int) -> None:
+        if steps:
+            pairs.add((min(start, at), max(start, at)))
+        if steps == limit:
+            return
+        for e in list(left):
+            if at not in e or not (reuse or left[e]):
+                continue
+            other = e[1] if e[0] == at else e[0]
+            left[e] -= 1
+            for nxt in g.neighbors(other):
+                walk(start, nxt, steps + 1)
+            left[e] += 1
+
+    for x in g.vertices:
+        for b in g.neighbors(x):
+            walk(x, b, 0)
+    return sorted(pairs)
+
+
+def test_even_connections_match_brute_force_walks():
+    rng = random.Random(_SEED + 2)
+    graphs, disconnected, isolated, compared = [], 0, 0, 0
+    for _ in range(24):
+        g = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        if g.is_edgeless():
+            continue
+        touched = {v for e in g.edges for v in e}
+        isolated += len(touched) < g.vertex_count
+        disconnected += not _connected(g)
+        graphs.append(g)
+    assert disconnected >= 3 and isolated >= 3, (disconnected, isolated)
+    for g in graphs:
+        for s in (2, 3, 4):
+            gens = list(ordinary_power(g, s - 1).gens)
+            e = rng.choice(g.edges)
+            gens += [_edge_power(e, k, g.vertex_count) for k in (2, 3) if k <= s - 1]
+            for u in gens:
+                for f in enumerate_factorizations(u, g, s - 1):
+                    got = even_connections(f, g)
+                    assert list(got) == _walk_pairs(f, g), (g.edges, f.edges)
+                    compared += 1
+    assert compared > 500
+
+
+def _edge_power(e, k: int, nv: int) -> Monomial:
+    exps = [0] * nv
+    exps[e[0] - 1] = exps[e[1] - 1] = k
+    return Monomial(exps)
+
+
+def test_even_connections_respect_edge_multiplicity():
+    # 5-1-2-3-4-2-1-5 would close a walk at 5, but it crosses (1,2) twice
+    # and the factorization (1,2)(3,4) holds it once
+    g = Graph(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
+    f = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), g, 2)
+    f = next(h for h in f if h.edges == ((1, 2), (3, 4)))
+    pairs = even_connections(f, g)
+    assert (5, 5) not in pairs
+    assert list(pairs) == _walk_pairs(f, g)
+    assert (5, 5) in _walk_pairs(f, g, reuse=True, max_steps=3)
+
+
+def test_even_connections_state_cap():
     c5 = cycle_graph(5)
     f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
-    with pytest.raises(ValueError):
-        EvenConnectionPath((3, 2, 1), f).validate(c5)
-    with pytest.raises(ValueError):
-        EvenConnectionPath((3, 2, 4, 5), f).validate(c5)  # (2,4) not an edge
-    with pytest.raises(ValueError):
-        EvenConnectionPath((2, 3, 4, 5), f).validate(c5)  # (3,4) not in the factorization
-    # reusing the single copy of (1,2) twice breaks the multiplicity bound
-    with pytest.raises(ValueError):
-        EvenConnectionPath((3, 2, 1, 2, 1, 5), f).validate(c5)
+    with pytest.raises(LimitExceeded, match="^even-connection search exceeds 1 states$"):
+        even_connections(f, c5, max_states=1)
+    # the count is per start vertex and includes the start state: two suffice here
+    assert even_connections(f, c5, max_states=2) == even_connections(f, c5)
 
 
 def test_colon_via_even_connections_cycle():
@@ -205,6 +273,24 @@ def test_colon_via_even_connections_deeper():
         colon_via_even_connections(c5, _mono("x1*x2*x3", 5), 2)
     with pytest.raises(ValueError):
         colon_via_even_connections(c5, _mono("x1^2*x3^2", 5), 3)
+
+
+def test_walk_built_colon_matches_monomial_sum():
+    graphs = [inst.graph for inst in default_instances(RunConfig())]
+    graphs.append(Graph(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]))
+    for g in graphs:
+        nv = g.vertex_count
+        for s in (2, 3):
+            for u in ordinary_power(g, s - 1).gens:
+                res = colon_via_even_connections(g, u, s)
+                extra = []
+                for a, b in res.pairs:
+                    exps = [0] * nv
+                    exps[a - 1] += 1
+                    exps[b - 1] += 1
+                    extra.append(Monomial(exps))
+                want = ideal_sum(edge_ideal(g), MonomialIdeal(nv, extra))
+                assert res.built == want, (g.edges, u.render())
 
 
 def test_colon_equivalence_random_graphs():

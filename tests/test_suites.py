@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from edgeideals import betti, suites
+from edgeideals import betti, evenconnect, suites
 from edgeideals.errors import LimitExceeded
 from edgeideals.families import (
     cycle_certificate,
@@ -83,6 +85,22 @@ def test_edgeless_graph_skips_the_rows_that_compare_nothing():
         assert "edge set is empty" in r.reason
         assert r.instance.label == "edgeless"
     assert {r.check for r in reports if r.status != "skipped"} == {"seeded-colon"}
+
+
+def test_even_connection_cap_skips_the_colon_rows(monkeypatch):
+    # every factorization has a start vertex with a second state, so a cap
+    # of one state stops every colon comparison
+    capped = functools.partial(evenconnect.even_connections, max_states=1)
+    monkeypatch.setattr(evenconnect, "even_connections", capped)
+    cfg = RunConfig(s_min=1, s_max=3, suites=("banerjee",))
+    reports = run_suite(cfg, [GraphInstance(cycle_graph(5), (cycle_certificate(5),), "C5")])
+    by = _by_check(reports)
+    rows = by[("banerjee", "colon-equivalence")] + by[("banerjee", "seeded-colon")]
+    assert len(rows) == 2 + 5
+    for r in rows:
+        assert r.status == "skipped"
+        assert r.reason == "even-connection search exceeds 1 states"
+    assert exit_code(reports) == 0
 
 
 def test_regularity_gate_reason():
