@@ -130,7 +130,6 @@ def _cmd_check(args) -> int:
         max_vertices=args.max_vertices,
         max_generators=args.max_generators,
         output_format=args.format,
-        out_path=args.out,
     )
     if args.files:
         instances = [_read_instance(p, args.max_vertices) for p in args.files]

@@ -7,7 +7,8 @@ compared through a fixed total order on the edges, monomials through
 their best expressions, and the colon of consecutive powers is rebuilt
 from the even-connected vertex pairs of its factorizations and compared
 against the directly computed colon.  Everything here is exhaustive search
-over desk-scale instances.
+over desk-scale instances.  The checks return data (`LemmaResult`,
+`EvenColonResult`); the suites turn it into report rows.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from .monomials import (
     contains,
     first_difference,
     ideal_colon,
-    ideal_power,
     ideal_product,
     ideal_sum,
     variable_power_ideal,
 )
-from .reports import VerificationReport, describe_instance
 from .symbolic import (
     CycleDecomposition,
+    _muk_terms,
     edge_ideal,
     layer_index,
     ordinary_power,
@@ -387,9 +387,32 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
     )
 
 
+@dataclass(frozen=True)
+class LemmaResult:
+    """What an ordering-lemma check covered, and its first failure as data.
+
+    `checked` counts the ordered generator pairs, even-connected pendant
+    pairs or colon checks tested (up to the failure, if any) over `size`
+    generators, or layers for the colon chain.  `failure` is None when the
+    lemma held, and otherwise:
+
+    - order lemma: (j, k, u_j, u_k, u_j : u_k), positions 1-based;
+    - leaf lemma: (u_t, a, b, z): the pair (x_a, x_b) and the variable x_z
+      that no greater generator's colon with u_t equals;
+    - colon chain: (layer, u, partial, q, m, missing): q is the colon of the
+      previous layer (of the running partial sum when `partial`) by u, and m
+      breaks its shape, as a variable of L absent from q when `missing`.
+    """
+
+    order: EdgeOrder
+    checked: int
+    size: int
+    failure: tuple | None = None
+
+
 def verify_order_lemma(
     g: Graph, s: int, r: int = 0, order: EdgeOrder | None = None
-) -> VerificationReport:
+) -> LemmaResult:
     """Pairwise colon discipline along the constructed generator order.
 
     For every j < k either (u_j : u_k) stays inside I^(s+1) : u_k, or some
@@ -397,10 +420,7 @@ def verify_order_lemma(
     quotient u_j / gcd(u_j, u_k).
     """
     order = order or EdgeOrder.for_graph(g)
-    go = generator_ordering(g, s, r, order)
-    us = go.generators
-    instance = describe_instance(g, s=s, r=r, label="order-lemma")
-    config = (("edge_order", order.label),)
+    us = generator_ordering(g, s, r, order).generators
     nv = g.vertex_count
     guard = _guard(nv)
     packed = [_pack(u) for u in us]
@@ -413,29 +433,12 @@ def verify_order_lemma(
             # w * u_k = lcm(u_j, u_k), so no exponent can overflow
             if _member(w, variables, guard) or _member(w + uk, higher, guard):
                 continue
-            return VerificationReport(
-                suite="orderings",
-                check="order-lemma",
-                instance=instance,
-                status="fail",
-                witnesses=(
-                    f"u_{j + 1}={us[j].render()}",
-                    f"u_{k + 1}={us[k].render()}",
-                    f"quotient {_unpack(w, nv).render()} escapes both branches",
-                ),
-                config=config,
-            )
-    return VerificationReport(
-        suite="orderings",
-        check="order-lemma",
-        instance=instance,
-        status="pass",
-        details=f"{len(us) * (len(us) - 1) // 2} ordered pairs over {len(us)} generators",
-        config=config,
-    )
+            failure = (j + 1, k + 1, us[j], us[k], _unpack(w, nv))
+            return LemmaResult(order, k * (k - 1) // 2 + j + 1, len(us), failure)
+    return LemmaResult(order, len(us) * (len(us) - 1) // 2, len(us))
 
 
-def verify_leaf_lemma(g: Graph, cd: CycleDecomposition, s: int) -> VerificationReport:
+def verify_leaf_lemma(g: Graph, lp: LeafPeelOrder, s: int) -> LemmaResult:
     """Colon witnesses for even-connected pendant-tree vertex pairs.
 
     For every generator u_t of I^s and every even-connected pair of distinct
@@ -446,21 +449,8 @@ def verify_leaf_lemma(g: Graph, cd: CycleDecomposition, s: int) -> VerificationR
     edge is even-connected to itself through a bounce walk yet admits no
     strictly greater companion.
     """
-    instance = describe_instance(g, cd.cycles, s=s, label="leaf-lemma")
-    try:
-        lp = leaf_peel_order(cd)
-    except ValueError as exc:
-        return VerificationReport(
-            suite="orderings",
-            check="leaf-lemma",
-            instance=instance,
-            status="skipped",
-            reason=str(exc),
-        )
     order = lp.order
-    config = (("edge_order", order.label),)
-    go = generator_ordering(g, s, 0, order)
-    us = go.generators
+    us = generator_ordering(g, s, 0, order).generators
     zset = set(lp.peeled)
     nv = g.vertex_count
     guard = _guard(nv)
@@ -484,92 +474,40 @@ def verify_leaf_lemma(g: Graph, cd: CycleDecomposition, s: int) -> VerificationR
                 if earlier is None:
                     earlier = {_colon(up, packed[t], guard) for up in packed[:t]}
                 if 1 << _BITS * (nv - z) not in earlier:
-                    return VerificationReport(
-                        suite="orderings",
-                        check="leaf-lemma",
-                        instance=instance,
-                        status="fail",
-                        witnesses=(
-                            f"u_t={ut.render()}",
-                            f"pair (x{a},x{b})",
-                            f"no greater generator with colon (x{z})",
-                        ),
-                        config=config,
-                    )
-    return VerificationReport(
-        suite="orderings",
-        check="leaf-lemma",
-        instance=instance,
-        status="pass",
-        details=f"{checked} even-connected pendant pairs over {len(us)} generators",
-        config=config,
-    )
+                    return LemmaResult(order, checked, len(us), (ut, a, b, z))
+    return LemmaResult(order, checked, len(us))
 
 
-def _scaled(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    return MonomialIdeal(a.nvars, [m.mul(h) for h in a.gens])
-
-
-def _layer_terms(g: Graph, cd: CycleDecomposition, s: int) -> list[MonomialIdeal]:
-    """The summands mu^i K^i I^(s - i(n+1)) for i = 0..k."""
-    n = cd.n
-    k, _ = layer_index(s, n)
-    mu = cd.mu
-    terms = []
-    for i in range(k + 1):
-        base = ideal_product(ideal_power(cd.K, i), ordinary_power(g, s - i * (n + 1)))
-        terms.append(_scaled(base, mu.pow(i)))
-    return terms
-
-
-def _is_ideal_plus_variables(
+def _shape_violation(
     q: MonomialIdeal, base: MonomialIdeal, required: MonomialIdeal
-) -> tuple[bool, str]:
-    """q == base + (variables) with every generator of `required` present."""
+) -> tuple[Monomial, bool] | None:
+    """None when q == base + (variables) with every generator of `required`
+    among those variables; else the first offending monomial, paired with
+    True when it is a missing generator of `required`."""
     variables = [m for m in q.gens if m.degree() == 1]
     rebuilt = ideal_sum(base, MonomialIdeal(q.nvars, variables))
     if rebuilt != q:
-        diff = first_difference(q, rebuilt)
-        return False, f"colon is not edge ideal plus variables: {diff[0].render()}"
+        return first_difference(q, rebuilt)[0], False
     missing = [m for m in required.gens if m not in set(variables)]
     if missing:
-        return False, f"variable {missing[0].render()} missing from the colon"
-    return True, ""
+        return missing[0], True
+    return None
 
 
-def verify_colon_chain(g: Graph, cd: CycleDecomposition, s: int) -> VerificationReport:
+def verify_colon_chain(
+    g: Graph, cd: CycleDecomposition, s: int, order: EdgeOrder
+) -> LemmaResult:
     """Layer-by-layer colon structure of the symbolic-power decomposition.
 
     Two families of checks per layer i = 1..k: the previous layer coloned
     by each new generator equals I plus variables containing L, and the
     running partial sums coloned by the layer's generators (taken in the
-    constructed order) keep that same shape.
+    constructed order) keep that same shape.  Needs a single designated
+    cycle; `order` is its leaf-peel order.
     """
-    instance = describe_instance(g, cd.cycles, s=s, label="colon-chain")
-    if not cd.single_cycle:
-        return VerificationReport(
-            suite="orderings",
-            check="colon-chain",
-            instance=instance,
-            status="skipped",
-            reason="needs a single designated cycle",
-        )
-    try:
-        lp = leaf_peel_order(cd)
-    except ValueError as exc:
-        return VerificationReport(
-            suite="orderings",
-            check="colon-chain",
-            instance=instance,
-            status="skipped",
-            reason=str(exc),
-        )
-    order = lp.order
-    config = (("edge_order", order.label),)
-    n = cd.n
-    k, _ = layer_index(s, n)
+    k, _ = layer_index(s, cd.n)
     ideal = edge_ideal(g)
-    terms = _layer_terms(g, cd, s)
+    terms = _muk_terms(g, cd, s)
     checks = 0
     partial = terms[0]
     for i in range(1, k + 1):
@@ -579,16 +517,9 @@ def verify_colon_chain(g: Graph, cd: CycleDecomposition, s: int) -> Verification
                 continue
             checks += 1
             q = ideal_colon(prev_term, f)
-            ok, msg = _is_ideal_plus_variables(q, ideal, cd.L)
-            if not ok:
-                return VerificationReport(
-                    suite="orderings",
-                    check="colon-chain",
-                    instance=instance,
-                    status="fail",
-                    witnesses=(f"layer {i}, f={f.render()}", msg, q.render()),
-                    config=config,
-                )
+            bad = _shape_violation(q, ideal, cd.L)
+            if bad is not None:
+                return LemmaResult(order, checks, k, (i, f, False, q, *bad))
         # walk the layer generators in edgelex order against the partial sums
         keyed = []
         for f in cur_term.gens:
@@ -603,23 +534,9 @@ def verify_colon_chain(g: Graph, cd: CycleDecomposition, s: int) -> Verification
                 continue
             checks += 1
             q = ideal_colon(base, u)
-            ok, msg = _is_ideal_plus_variables(q, ideal, cd.L)
-            if not ok:
-                return VerificationReport(
-                    suite="orderings",
-                    check="colon-chain",
-                    instance=instance,
-                    status="fail",
-                    witnesses=(f"layer {i}, partial colon by {u.render()}", msg, q.render()),
-                    config=config,
-                )
+            bad = _shape_violation(q, ideal, cd.L)
+            if bad is not None:
+                return LemmaResult(order, checks, k, (i, u, True, q, *bad))
             running.append(u)
         partial = ideal_sum(partial, cur_term)
-    return VerificationReport(
-        suite="orderings",
-        check="colon-chain",
-        instance=instance,
-        status="pass",
-        details=f"{checks} colon checks across {k} layers",
-        config=config,
-    )
+    return LemmaResult(order, checks, k)

@@ -43,7 +43,6 @@ class RunConfig:
     max_vertices: int = 16
     max_generators: int = 200
     output_format: str = "text"
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.s_min < 1:

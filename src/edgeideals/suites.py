@@ -19,7 +19,9 @@ from .betti import betti_table, socle_regularity
 from .errors import LimitExceeded
 from .evenconnect import (
     EvenColonResult,
+    LemmaResult,
     colon_via_even_connections,
+    leaf_peel_order,
     verify_colon_chain,
     verify_leaf_lemma,
     verify_order_lemma,
@@ -88,6 +90,23 @@ def _skip(suite: str, check: str, info: InstanceInfo, reason: str) -> Verificati
     return VerificationReport(suite, check, info, "skipped", reason=reason)
 
 
+def _row(
+    suite: str,
+    check: str,
+    info: InstanceInfo,
+    witnesses: Sequence[str] = (),
+    details: str = "",
+    config: tuple[tuple[str, str], ...] = (),
+) -> VerificationReport:
+    """A `fail` row carrying the witnesses when there are any, else a `pass`
+    row with the details."""
+    if witnesses:
+        return VerificationReport(
+            suite, check, info, "fail", witnesses=tuple(witnesses), config=config
+        )
+    return VerificationReport(suite, check, info, "pass", details=details, config=config)
+
+
 def _s_range(cfg: RunConfig) -> range:
     return range(cfg.s_min, cfg.s_max + 1)
 
@@ -102,20 +121,13 @@ def _suite_decomposition(inst: GraphInstance, cfg: RunConfig) -> list[Verificati
             out.append(_skip("decomposition", "layer-sum", info, "no designated odd cycle"))
             continue
         d = decompose_symbolic(g, cd, s)
-        if d.matches:
-            out.append(
-                VerificationReport(
-                    "decomposition", "layer-sum", info, "pass",
-                    details=f"{d.k + 1} layers, {len(d.total.gens)} generators",
-                )
+        out.append(
+            _row(
+                "decomposition", "layer-sum", info,
+                () if d.matches else (d.witness.render(), f"only in {d.witness_side}"),
+                details=f"{d.k + 1} layers, {len(d.total.gens)} generators",
             )
-        else:
-            out.append(
-                VerificationReport(
-                    "decomposition", "layer-sum", info, "fail",
-                    witnesses=(d.witness.render(), f"only in {d.witness_side}"),
-                )
-            )
+        )
     return out
 
 
@@ -129,35 +141,22 @@ def _suite_m2s(inst: GraphInstance, cfg: RunConfig) -> list[VerificationReport]:
             out.append(_skip("m2s", "truncation", info, "no designated odd cycle"))
             continue
         m = m2s_identities(g, cd, s)
-        if m.jm_ok:
-            out.append(VerificationReport("m2s", "jm-truncation", info, "pass"))
-        else:
-            out.append(
-                VerificationReport(
-                    "m2s", "jm-truncation", info, "fail",
-                    witnesses=(m.jm_witness.render(),),
-                )
-            )
+        out.append(
+            _row("m2s", "jm-truncation", info, () if m.jm_ok else (m.jm_witness.render(),))
+        )
         if m.muk_sum is None:
             out.append(_skip("m2s", "muk-truncation", info, "single designated cycle required"))
-        elif m.muk_ok:
-            out.append(VerificationReport("m2s", "muk-truncation", info, "pass"))
         else:
             out.append(
-                VerificationReport(
-                    "m2s", "muk-truncation", info, "fail",
-                    witnesses=(m.muk_witness.render(),),
-                )
+                _row("m2s", "muk-truncation", info, () if m.muk_ok else (m.muk_witness.render(),))
             )
         if not m.all_odd_cycles_dominating:
             out.append(_skip("m2s", "power-truncation", info, "odd cycles do not dominate"))
-        elif m.power_ok:
-            out.append(VerificationReport("m2s", "power-truncation", info, "pass"))
         else:
             out.append(
-                VerificationReport(
-                    "m2s", "power-truncation", info, "fail",
-                    witnesses=(m.power_witness.render(),),
+                _row(
+                    "m2s", "power-truncation", info,
+                    () if m.power_ok else (m.power_witness.render(),),
                 )
             )
     return out
@@ -172,25 +171,18 @@ def _suite_invariants(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
     out = []
     inv = asymptotic_invariants(g, cd, cfg.s_max)
     alpha_txt = " ".join(f"{s}:{a}" for s, a in inv.alpha_by_s)
-    if inv.formula_ok:
-        out.append(
-            VerificationReport(
-                "invariants", "alpha-formula", info, "pass",
-                details=f"alpha {alpha_txt}; waldschmidt {inv.waldschmidt}; "
-                f"resurgence {inv.resurgence}",
-            )
+    bad = [
+        f"s={s}: {a} != {b}"
+        for (s, a), (_, b) in zip(inv.alpha_by_s, inv.formula_by_s)
+        if a != b
+    ]
+    out.append(
+        _row(
+            "invariants", "alpha-formula", info, bad,
+            details=f"alpha {alpha_txt}; waldschmidt {inv.waldschmidt}; "
+            f"resurgence {inv.resurgence}",
         )
-    else:
-        bad = [
-            f"s={s}: {a} != {b}"
-            for (s, a), (_, b) in zip(inv.alpha_by_s, inv.formula_by_s)
-            if a != b
-        ]
-        out.append(
-            VerificationReport(
-                "invariants", "alpha-formula", info, "fail", witnesses=tuple(bad)
-            )
-        )
+    )
     bound = inv.resurgence
     worst = Fraction(0)
     non_containments = 0
@@ -204,28 +196,16 @@ def _suite_invariants(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
                 non_containments += 1
                 worst = max(worst, Fraction(s, t))
     cells = len(_s_range(cfg)) ** 2
-    if disagree:
-        out.append(
-            VerificationReport(
-                "invariants", "containment-grid", info, "fail",
-                witnesses=tuple(disagree[:5]),
-            )
+    witnesses = disagree[:5]
+    if not witnesses and worst > bound:
+        witnesses = [f"non-containment ratio {worst} exceeds {bound}"]
+    out.append(
+        _row(
+            "invariants", "containment-grid", info, witnesses,
+            details=f"{cells} cells, {non_containments} non-containments, "
+            f"max ratio {worst} <= {bound}",
         )
-    elif worst > bound:
-        out.append(
-            VerificationReport(
-                "invariants", "containment-grid", info, "fail",
-                witnesses=(f"non-containment ratio {worst} exceeds {bound}",),
-            )
-        )
-    else:
-        out.append(
-            VerificationReport(
-                "invariants", "containment-grid", info, "pass",
-                details=f"{cells} cells, {non_containments} non-containments, "
-                f"max ratio {worst} <= {bound}",
-            )
-        )
+    )
     return out
 
 
@@ -239,6 +219,10 @@ def _first_mismatch(
         if not res.matches:
             return res
     return None
+
+
+def _colon_witnesses(bad: EvenColonResult | None) -> tuple[str, ...]:
+    return () if bad is None else (bad.witness.render(), bad.witness_side or "")
 
 
 def _suite_banerjee(inst: GraphInstance, cfg: RunConfig) -> list[VerificationReport]:
@@ -265,29 +249,60 @@ def _suite_banerjee(inst: GraphInstance, cfg: RunConfig) -> list[VerificationRep
         except LimitExceeded as exc:
             out.append(_skip("banerjee", "colon-equivalence", info, str(exc)))
             continue
-        if bad is None:
-            out.append(
-                VerificationReport(
-                    "banerjee", "colon-equivalence", info, "pass",
-                    details=f"{len(gens)} colon ideals compared",
-                )
+        out.append(
+            _row(
+                "banerjee", "colon-equivalence", info, _colon_witnesses(bad),
+                details=f"{len(gens)} colon ideals compared",
             )
-        else:
-            out.append(
-                VerificationReport(
-                    "banerjee", "colon-equivalence", info, "fail",
-                    witnesses=(
-                        bad.witness.render(),
-                        bad.witness_side or "",
-                    ),
-                )
-            )
+        )
     return out
 
 
+def _lemma_row(
+    check: str, info: InstanceInfo, res: LemmaResult, witnesses: Callable, details: str
+) -> VerificationReport:
+    """An orderings row: the failure rendered by `witnesses`, if any, else a
+    pass with the details; either way it names the edge order used."""
+    return _row(
+        "orderings", check, info,
+        () if res.failure is None else witnesses(*res.failure),
+        details=details,
+        config=(("edge_order", res.order.label),),
+    )
+
+
+def _order_witnesses(j, k, uj, uk, quotient) -> tuple[str, ...]:
+    return (
+        f"u_{j}={uj.render()}",
+        f"u_{k}={uk.render()}",
+        f"quotient {quotient.render()} escapes both branches",
+    )
+
+
+def _leaf_witnesses(ut, a, b, z) -> tuple[str, ...]:
+    return (f"u_t={ut.render()}", f"pair (x{a},x{b})", f"no greater generator with colon (x{z})")
+
+
+def _chain_witnesses(layer, u, partial, q, m, missing) -> tuple[str, ...]:
+    where = f"partial colon by {u.render()}" if partial else f"f={u.render()}"
+    if missing:
+        msg = f"variable {m.render()} missing from the colon"
+    else:
+        msg = f"colon is not edge ideal plus variables: {m.render()}"
+    return (f"layer {layer}, {where}", msg, q.render())
+
+
 def _suite_orderings(inst: GraphInstance, cfg: RunConfig) -> list[VerificationReport]:
+    """The order lemma at r = 0, 1 for each s; with a designated cycle, the
+    leaf lemma and the colon chain along its leaf-peel order, found once."""
     g = inst.graph
     cd = _decomposition(inst)
+    peel, no_peel = None, None
+    if cd is not None:
+        try:
+            peel = leaf_peel_order(cd)
+        except ValueError as exc:
+            no_peel = str(exc)
     out = []
     for s in _s_range(cfg):
         for r in (0, 1):
@@ -304,10 +319,34 @@ def _suite_orderings(inst: GraphInstance, cfg: RunConfig) -> list[VerificationRe
                     )
                 )
                 continue
-            out.append(verify_order_lemma(g, s, r))
-        if cd is not None:
-            out.append(verify_leaf_lemma(g, cd, s))
-            out.append(verify_colon_chain(g, cd, s))
+            res = verify_order_lemma(g, s, r)
+            out.append(
+                _lemma_row(
+                    "order-lemma", info, res, _order_witnesses,
+                    f"{res.checked} ordered pairs over {res.size} generators",
+                )
+            )
+        if cd is None:
+            continue
+        info = describe_instance(g, inst.cycles, s=s, label=inst.label)
+        if peel is None:
+            out.append(_skip("orderings", "leaf-lemma", info, no_peel))
+            out.append(_skip("orderings", "colon-chain", info, no_peel))
+            continue
+        res = verify_leaf_lemma(g, peel, s)
+        out.append(
+            _lemma_row(
+                "leaf-lemma", info, res, _leaf_witnesses,
+                f"{res.checked} even-connected pendant pairs over {res.size} generators",
+            )
+        )
+        res = verify_colon_chain(g, cd, s, peel.order)
+        out.append(
+            _lemma_row(
+                "colon-chain", info, res, _chain_witnesses,
+                f"{res.checked} colon checks across {res.size} layers",
+            )
+        )
     return out
 
 
@@ -354,58 +393,33 @@ def _suite_regularity(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
             except LimitExceeded as exc:
                 out.append(_skip("regularity", "sym-vs-ordinary", info, str(exc)))
             else:
-                if rs == ro:
-                    out.append(
-                        VerificationReport(
-                            "regularity", "sym-vs-ordinary", info, "pass",
-                            details=f"reg {rs} on both sides",
-                        )
+                out.append(
+                    _row(
+                        "regularity", "sym-vs-ordinary", info,
+                        () if rs == ro else (f"symbolic {rs}", f"ordinary {ro}"),
+                        details=f"reg {rs} on both sides",
                     )
-                else:
-                    out.append(
-                        VerificationReport(
-                            "regularity", "sym-vs-ordinary", info, "fail",
-                            witnesses=(f"symbolic {rs}", f"ordinary {ro}"),
-                        )
-                    )
+                )
         if capped is not None:
             out.append(_skip("regularity", "lower-bound", info, capped))
         else:
             qreg, lower = rs - 1, 2 * s + nu_g - 2
-            if qreg >= lower:
-                out.append(
-                    VerificationReport(
-                        "regularity", "lower-bound", info, "pass",
-                        details=f"quotient reg {qreg} >= {lower}",
-                    )
-                )
-            else:
-                out.append(
-                    VerificationReport(
-                        "regularity", "lower-bound", info, "fail",
-                        witnesses=(f"quotient reg {qreg} < {lower}",),
-                    )
-                )
-        socle = socle_regularity(g, s)
-        if socle == 2 * s - 1:
             out.append(
-                VerificationReport(
-                    "regularity", "socle", info, "pass",
-                    details=f"socle degree {socle}",
+                _row(
+                    "regularity", "lower-bound", info,
+                    () if qreg >= lower else (f"quotient reg {qreg} < {lower}",),
+                    details=f"quotient reg {qreg} >= {lower}",
                 )
             )
-        else:
+        socle = socle_regularity(g, s)
+        witnesses: tuple[str, ...] = ()
+        if socle != 2 * s - 1:
             # Every degree-(2s-1) monomial then lies in the computed I^(s).
             top = Monomial.variable(0, g.vertex_count).pow(2 * s - 1)
-            out.append(
-                VerificationReport(
-                    "regularity", "socle", info, "fail",
-                    witnesses=(
-                        f"socle degree {socle} != {2 * s - 1}",
-                        f"{top.render()} in I^({s})",
-                    ),
-                )
-            )
+            witnesses = (f"socle degree {socle} != {2 * s - 1}", f"{top.render()} in I^({s})")
+        out.append(
+            _row("regularity", "socle", info, witnesses, details=f"socle degree {socle}")
+        )
     return out
 
 
@@ -418,8 +432,8 @@ def _suite_hypotheses(inst: GraphInstance, cfg: RunConfig) -> list[VerificationR
     for cert in inst.cycles:
         hyp = check_hypotheses(g, cert, cfg.max_vertices)
         out.append(
-            VerificationReport(
-                "hypotheses", "structure", info, "pass",
+            _row(
+                "hypotheses", "structure", info,
                 details=(
                     f"cycle {'-'.join(map(str, cert.vertices))}: n={hyp.n}, "
                     f"dominates={hyp.dominates_open}, nu(G)={hyp.nu_g}, "
@@ -454,20 +468,12 @@ def _seeded_banerjee(cfg: RunConfig) -> list[VerificationReport]:
         except LimitExceeded as exc:
             out.append(_skip("banerjee", "seeded-colon", info, str(exc)))
             continue
-        if bad is None:
-            out.append(
-                VerificationReport(
-                    "banerjee", "seeded-colon", info, "pass",
-                    details=f"{g.edge_count} colon ideals compared",
-                )
+        out.append(
+            _row(
+                "banerjee", "seeded-colon", info, _colon_witnesses(bad),
+                details=f"{g.edge_count} colon ideals compared",
             )
-        else:
-            out.append(
-                VerificationReport(
-                    "banerjee", "seeded-colon", info, "fail",
-                    witnesses=(bad.witness.render(), bad.witness_side or ""),
-                )
-            )
+        )
     return out
 
 
@@ -481,27 +487,15 @@ def _seeded_bipartite(cfg: RunConfig) -> list[VerificationReport]:
             rng, rng.randint(4, min(6, cfg.max_vertices)), 0.5, bipartite=True
         )
         info = describe_instance(g, label=f"seeded-bipartite-{index}")
-        witness = None
+        witnesses: tuple[str, ...] = ()
         for s in range(1, smax + 1):
             diff = first_difference(symbolic_power(g, s), ordinary_power(g, s))
             if diff is not None:
-                witness = (s, diff)
+                witnesses = (f"s={s}", diff[0].render(), diff[1])
                 break
-        if witness is None:
-            out.append(
-                VerificationReport(
-                    "invariants", "bipartite-equality", info, "pass",
-                    details=f"s <= {smax}",
-                )
-            )
-        else:
-            s, (mono, side) = witness
-            out.append(
-                VerificationReport(
-                    "invariants", "bipartite-equality", info, "fail",
-                    witnesses=(f"s={s}", mono.render(), side),
-                )
-            )
+        out.append(
+            _row("invariants", "bipartite-equality", info, witnesses, details=f"s <= {smax}")
+        )
     return out
 
 

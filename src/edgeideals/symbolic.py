@@ -185,6 +185,16 @@ def decompose_symbolic(g: Graph, cd: CycleDecomposition, s: int) -> SymbolicDeco
     return SymbolicDecomposition(s, k, tuple(terms), total, reference, False, witness, side_name)
 
 
+def _muk_terms(g: Graph, cd: CycleDecomposition, s: int) -> list[MonomialIdeal]:
+    """The summands mu^i K^i I^(s - i(n+1)), i = 0..k, for a single cycle."""
+    k, _ = layer_index(s, cd.n)
+    terms = []
+    for i in range(k + 1):
+        t = ideal_product(ordinary_power(g, s - i * (cd.n + 1)), ideal_power(cd.K, i))
+        terms.append(ideal_product(t, MonomialIdeal(g.vertex_count, [cd.mu.pow(i)])))
+    return terms
+
+
 @dataclass(frozen=True)
 class M2SIdentities:
     """The three descriptions of I^(s) intersected with m^(2s)."""
@@ -221,14 +231,7 @@ def m2s_identities(g: Graph, cd: CycleDecomposition, s: int) -> M2SIdentities:
     muk_ok: bool | None = None
     muk_witness = None
     if cd.single_cycle:
-        mu = cd.mu
-        muk_terms = []
-        for i in range(k + 1):
-            t = ordinary_power(g, s - i * (cd.n + 1))
-            t = ideal_product(t, ideal_power(cd.K, i))
-            t = ideal_product(t, MonomialIdeal(nv, [mu.pow(i)]))
-            muk_terms.append(t)
-        muk_sum = ideal_sum(*muk_terms)
+        muk_sum = ideal_sum(*_muk_terms(g, cd, s))
         muk_diff = first_difference(lhs, muk_sum)
         muk_ok = muk_diff is None
         muk_witness = muk_diff[0] if muk_diff else None

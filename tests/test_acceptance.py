@@ -17,6 +17,7 @@ from fractions import Fraction
 from edgeideals.betti import quotient_regularity, regularity, socle_regularity
 from edgeideals.evenconnect import (
     colon_via_even_connections,
+    leaf_peel_order,
     verify_colon_chain,
     verify_leaf_lemma,
     verify_order_lemma,
@@ -270,15 +271,16 @@ def test_criterion_13_ordering_lemmas():
     start = time.time()
     c5, _ = _c5()
     for s, r in ((1, 0), (2, 0), (1, 1), (2, 1)):
-        rep = verify_order_lemma(c5, s, r)
-        assert rep.status == "pass", (s, r, rep.witnesses)
+        res = verify_order_lemma(c5, s, r)
+        assert res.failure is None, (s, r, res.failure)
     two, two_cert = cycle_with_paths(5, [(1, 2), (1, 2)])
     c7p, c7p_cert = cycle_with_paths(7, [(1, 2)])
     for label, g, cert in (("C5+two-P3", two, two_cert), ("C7+P3", c7p, c7p_cert)):
         cd = _decomp(g, (cert,))
+        lp = leaf_peel_order(cd)
         for s in (1, 2, 3):
-            leaf = verify_leaf_lemma(g, cd, s)
-            assert leaf.status == "pass", (label, s, leaf.witnesses)
-            chain = verify_colon_chain(g, cd, s)
-            assert chain.status == "pass", (label, s, chain.witnesses)
+            leaf = verify_leaf_lemma(g, lp, s)
+            assert leaf.failure is None, (label, s, leaf.failure)
+            chain = verify_colon_chain(g, cd, s, lp.order)
+            assert chain.failure is None, (label, s, chain.failure)
     _done(13, "order, leaf, and colon-chain lemmas", start)

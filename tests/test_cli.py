@@ -213,7 +213,7 @@ def test_large_prime_field_accepted(c5_file, capsys):
             ["--suite", "regularity"],
             "64dc02e722ca4285c8a39ed999f1b0ef6b7acd2424237bb978ae435940fb2720",
         ),
-        ([], "743c1b92ef16d977e8a5adc64a06fed310f62be1aa796dd457145249467a0601"),
+        ([], "77bc16881a66f453055e6a8f87e93514b3c27506d27ea521a39bade57eba5776"),
     ],
     ids=["regularity", "all-suites"],
 )

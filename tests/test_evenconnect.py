@@ -38,7 +38,7 @@ from edgeideals.monomials import (
     parse_monomial,
 )
 from edgeideals.reports import RunConfig
-from edgeideals.suites import default_instances
+from edgeideals.suites import GraphInstance, _suite_orderings, default_instances
 from edgeideals.symbolic import CycleDecomposition, edge_ideal, ordinary_power
 
 from graph_helpers import path_graph
@@ -308,16 +308,17 @@ def test_colon_equivalence_random_graphs():
 def test_verify_order_lemma_cycle():
     c5 = cycle_graph(5)
     for s, r in ((1, 0), (2, 0), (1, 1), (2, 1)):
-        rep = verify_order_lemma(c5, s, r)
-        assert rep.status == "pass", (s, r, rep.witnesses)
-        assert rep.config == (("edge_order", "endpoint-descending"),)
-    assert int(verify_order_lemma(c5, 2, 0).details.split()[0]) == 15 * 14 // 2
+        res = verify_order_lemma(c5, s, r)
+        assert res.failure is None, (s, r, res.failure)
+        assert res.order.label == "endpoint-descending"
+    res = verify_order_lemma(c5, 2, 0)
+    assert (res.checked, res.size) == (15 * 14 // 2, 15)
 
 
 def test_verify_order_lemma_pendant():
     g, _ = cycle_with_paths(5, [(1, 2)])
-    rep = verify_order_lemma(g, 2, 1)
-    assert rep.status == "pass", rep.witnesses
+    res = verify_order_lemma(g, 2, 1)
+    assert res.failure is None, res.failure
 
 
 def test_leaf_peel_order():
@@ -345,66 +346,74 @@ def test_leaf_peel_rejects_cycles_among_pendant_vertices():
     cd = CycleDecomposition.from_graph(g, [cert])
     with pytest.raises(ValueError):
         leaf_peel_order(cd)
-    rep = verify_leaf_lemma(g, cd, 2)
-    assert rep.status == "skipped"
-    assert "leaf elimination" in rep.reason
+    # the suite skips both peel-order rows with the reason
+    rows = _suite_orderings(GraphInstance(g, (cert,), "C5+triangle"), RunConfig(s_max=2))
+    peel_rows = [r for r in rows if r.check in ("leaf-lemma", "colon-chain")]
+    assert len(peel_rows) == 4
+    for r in peel_rows:
+        assert r.status == "skipped"
+        assert "leaf elimination" in r.reason
+
+
+def _peeled(graph_and_cert):
+    g, cert = graph_and_cert
+    return g, leaf_peel_order(CycleDecomposition.from_graph(g, [cert]))
 
 
 def test_verify_leaf_lemma_nonvacuous():
     # pendant branches at two cycle vertices put the peel pair (7,9) at odd
     # distance, so it is even-connected already at s=2 through 7,6,1,2,8,9
-    g, cert = cycle_with_paths(5, [(1, 2), (2, 2)])
-    cd = CycleDecomposition.from_graph(g, [cert])
-    rep = verify_leaf_lemma(g, cd, 2)
-    assert rep.status == "pass", rep.witnesses
-    assert int(rep.details.split()[0]) > 0
+    g, lp = _peeled(cycle_with_paths(5, [(1, 2), (2, 2)]))
+    res = verify_leaf_lemma(g, lp, 2)
+    assert res.failure is None, res.failure
+    assert res.checked > 0
+    assert res.order.label == "leaf-peel"
 
 
 def test_verify_leaf_lemma_adjacent_pairs_not_counted():
     # a doubled pendant edge even-connects its endpoints to themselves, but
     # adjacent pairs only restate edge generators and are not checked
-    g, cert = cycle_with_paths(5, [(1, 3)])
-    cd = CycleDecomposition.from_graph(g, [cert])
-    rep = verify_leaf_lemma(g, cd, 2)
-    assert rep.status == "pass", rep.witnesses
-    assert int(rep.details.split()[0]) == 0
+    g, lp = _peeled(cycle_with_paths(5, [(1, 3)]))
+    res = verify_leaf_lemma(g, lp, 2)
+    assert res.failure is None, res.failure
+    assert res.checked == 0
 
 
 def test_verify_leaf_lemma_vacuous_cases():
-    g, cert = two_paths_graph()
-    cd = CycleDecomposition.from_graph(g, [cert])
-    rep = verify_leaf_lemma(g, cd, 2)
-    assert rep.status == "pass"
-    assert int(rep.details.split()[0]) == 0
+    g, lp = _peeled(two_paths_graph())
+    res = verify_leaf_lemma(g, lp, 2)
+    assert res.failure is None
+    assert res.checked == 0
 
-    g7, cert7 = cycle_with_paths(7, [(1, 2)])
-    cd7 = CycleDecomposition.from_graph(g7, [cert7])
-    rep7 = verify_leaf_lemma(g7, cd7, 2)
-    assert rep7.status == "pass"
-    assert int(rep7.details.split()[0]) == 0
+    g7, lp7 = _peeled(cycle_with_paths(7, [(1, 2)]))
+    res7 = verify_leaf_lemma(g7, lp7, 2)
+    assert res7.failure is None
+    assert res7.checked == 0
 
 
 def test_verify_colon_chain_nonvacuous():
     g, cert = two_paths_graph()
     cd = CycleDecomposition.from_graph(g, [cert])
-    rep = verify_colon_chain(g, cd, 3)
-    assert rep.status == "pass", rep.witnesses
-    assert int(rep.details.split()[0]) >= 2
+    res = verify_colon_chain(g, cd, 3, leaf_peel_order(cd).order)
+    assert res.failure is None, res.failure
+    assert res.checked >= 2
 
 
 def test_verify_colon_chain_trivial_cases():
     c5 = cycle_graph(5)
     cd5 = CycleDecomposition.from_graph(c5, [cycle_certificate(5)])
-    rep = verify_colon_chain(c5, cd5, 3)
-    assert rep.status == "pass"
+    res = verify_colon_chain(c5, cd5, 3, leaf_peel_order(cd5).order)
+    assert res.failure is None
 
     g7, cert7 = cycle_with_paths(7, [(1, 2)])
     cd7 = CycleDecomposition.from_graph(g7, [cert7])
+    order7 = leaf_peel_order(cd7).order
     for s in (1, 2, 3):
-        rep = verify_colon_chain(g7, cd7, s)
-        assert rep.status == "pass"
-        assert "0 colon checks" in rep.details
+        res = verify_colon_chain(g7, cd7, s, order7)
+        assert res.failure is None
+        assert res.checked == 0
 
     tri, certs = three_triangles()
     cd3 = CycleDecomposition.from_graph(tri, certs)
-    assert verify_colon_chain(tri, cd3, 2).status == "skipped"
+    with pytest.raises(ValueError, match="single designated cycle"):
+        leaf_peel_order(cd3)

@@ -1,4 +1,5 @@
-"""Every name a module imports is used there or re-exported through __all__."""
+"""Every name a module imports is used there or re-exported through __all__,
+and only the suite layer and the front ends import the report rows."""
 
 from __future__ import annotations
 
@@ -60,3 +61,43 @@ def test_guard_flags_a_leftover_import():
         "print(Counter())\n"
     )
     assert unused_imports(source) == ["deque (line 1)", "os (line 2)"]
+
+
+# The algorithms return data; only these modules build or re-export report rows.
+_REPORT_LAYER = {"suites", "cli", "__init__"}
+
+
+def imports_reports(source: str) -> bool:
+    """Whether the package module `source` imports from edgeideals.reports."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".reports", "edgeideals.reports"):
+                return True
+            if module in (".", "edgeideals") and any(a.name == "reports" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name == "edgeideals.reports" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_suite_layer_imports_reports():
+    src = _ROOT / "src" / "edgeideals"
+    importers = {p.stem for p in src.glob("*.py") if imports_reports(p.read_text())}
+    assert importers <= _REPORT_LAYER, sorted(importers - _REPORT_LAYER)
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("from .reports import VerificationReport\n", True),
+        ("from . import reports\n", True),
+        ("import edgeideals.reports\n", True),
+        ("from edgeideals.reports import RunConfig\n", True),
+        ("from .symbolic import edge_ideal\n", False),
+        ("from .suites import reports\n", False),
+    ],
+)
+def test_report_import_guard(source, flagged):
+    assert imports_reports(source) is flagged

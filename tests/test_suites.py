@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import pytest
@@ -13,7 +14,13 @@ from edgeideals.families import (
     three_triangles,
 )
 from edgeideals.graphs import Graph, parse_graph_text
-from edgeideals.monomials import ideal_power, ideal_sum, variable_power_ideal
+from edgeideals.monomials import (
+    MonomialIdeal,
+    ideal_power,
+    ideal_sum,
+    parse_monomial,
+    variable_power_ideal,
+)
 from edgeideals.reports import RunConfig, exit_code
 from edgeideals.suites import GraphInstance, default_instances, run_suite
 from edgeideals.symbolic import ordinary_power, symbolic_power
@@ -234,3 +241,102 @@ def test_seeded_sweeps_depend_on_seed():
     hashes_b = [r.instance.graph_hash for r in b]
     assert hashes_a != hashes_b
     assert all(r.status == "pass" for r in a + b)
+
+
+def _orderings_rows(inst, s):
+    return _by_check(suites._suite_orderings(inst, RunConfig(s_min=s, s_max=s)))
+
+
+def test_order_lemma_row_fails_without_the_higher_power(monkeypatch):
+    # with I^(s+1) zero only the single-variable branch can admit a pair
+    real = evenconnect.ordinary_power
+
+    def zero_above(g, s):
+        return MonomialIdeal.zero(g.vertex_count) if s == 2 else real(g, s)
+
+    monkeypatch.setattr(evenconnect, "ordinary_power", zero_above)
+    inst = GraphInstance(cycle_graph(5), (cycle_certificate(5),), "C5")
+    rows = _orderings_rows(inst, 1)[("orderings", "order-lemma")]
+    assert [r.status for r in rows] == ["fail", "fail"]
+    assert rows[0].witnesses == (
+        "u_3=x2*x3", "u_4=x1*x5", "quotient x2*x3 escapes both branches"
+    )
+    assert rows[1].witnesses == (
+        "u_10=x1*x2*x3", "u_14=x1^2*x5", "quotient x2*x3 escapes both branches"
+    )
+    assert rows[0].config == (("edge_order", "endpoint-descending"),)
+
+
+def test_leaf_lemma_row_fails_on_a_reversed_generator_order(monkeypatch):
+    real = evenconnect.generator_ordering
+
+    def reversed_order(*args, **kwargs):
+        go = real(*args, **kwargs)
+        return dataclasses.replace(
+            go, generators=go.generators[::-1], expressions=go.expressions[::-1]
+        )
+
+    monkeypatch.setattr(evenconnect, "generator_ordering", reversed_order)
+    g, cert = cycle_with_paths(5, [(1, 2), (2, 2)])
+    (row,) = _orderings_rows(GraphInstance(g, (cert,), "C5-branches"), 2)[
+        ("orderings", "leaf-lemma")
+    ]
+    assert row.status == "fail"
+    assert row.witnesses == (
+        "u_t=x1*x2*x6*x8", "pair (x7,x9)", "no greater generator with colon (x7)"
+    )
+    assert row.config == (("edge_order", "leaf-peel"),)
+
+
+def test_colon_chain_row_fails_when_a_required_variable_is_missing(monkeypatch):
+    # L enlarged by the pendant variables, which no layer colon contains
+    real = suites._decomposition
+
+    def enlarged(inst):
+        cd = real(inst)
+        gens = cd.L.gens + cd.K.gens
+        return dataclasses.replace(cd, L=MonomialIdeal(inst.graph.vertex_count, gens))
+
+    monkeypatch.setattr(suites, "_decomposition", enlarged)
+    g, cert = cycle_with_paths(5, [(1, 2), (1, 2)])
+    (row,) = _orderings_rows(GraphInstance(g, (cert,), "C5-two-branches"), 3)[
+        ("orderings", "colon-chain")
+    ]
+    assert row.status == "fail"
+    assert row.witnesses == (
+        "layer 1, f=x1*x2*x3*x4*x5*x7",
+        "variable x7 missing from the colon",
+        "(x1, x2, x3, x4, x5, x6, x8)",
+    )
+    assert row.config == (("edge_order", "leaf-peel"),)
+
+
+def test_colon_chain_row_fails_when_a_colon_is_not_edges_plus_variables(monkeypatch):
+    # x7*x9 is no edge, and no layer colon contains it
+    real = evenconnect.edge_ideal
+
+    def with_chord(g):
+        return ideal_sum(real(g), MonomialIdeal(g.vertex_count, [parse_monomial("x7*x9", 9)]))
+
+    monkeypatch.setattr(evenconnect, "edge_ideal", with_chord)
+    g, cert = cycle_with_paths(5, [(1, 2), (1, 2)])
+    (row,) = _orderings_rows(GraphInstance(g, (cert,), "C5-two-branches"), 3)[
+        ("orderings", "colon-chain")
+    ]
+    assert row.status == "fail"
+    assert row.witnesses == (
+        "layer 1, f=x1*x2*x3*x4*x5*x7",
+        "colon is not edge ideal plus variables: x7*x9",
+        "(x1, x2, x3, x4, x5, x6, x8)",
+    )
+
+
+def test_every_row_names_its_instance():
+    cfg = RunConfig()
+    catalog = {i.label: tuple(c.vertices for c in i.cycles) for i in default_instances(cfg)}
+    reports = run_suite(cfg)
+    for r in reports:
+        label = r.instance.label
+        assert label in catalog or label.startswith("seeded-"), (r.check, label)
+        if label in catalog:
+            assert r.instance.cycles == catalog[label], (r.check, label)
