@@ -13,16 +13,12 @@ found by a backtrack (`_automorphisms`); each orbit's least multidegree
 stands for it, and its entries are copied to the other members.  Per
 multidegree the complex lives on supp(b) and is down-closed: a face is any
 subset of supp(b / g) for a generator g dividing b, so its facets are the
-maximal such supports, kept as int bitmasks.  Deleting a dominated vertex
-(another vertex lies in every facet containing it) keeps the homotopy type
-(Barmak-Minian), so each complex is cut to its strong-homotopy core; a core
-that is one nonempty simplex has no reduced homology.  The other cores have
-their vertices renumbered 0..k-1, and each distinct renumbered core has its
-faces sent to `homology.reduced_homology` once per table: a memo that lives
-for one `betti_table` call maps sorted facet tuples, before and after
+maximal such supports, kept as the vertex bitmasks of `homology`.  Each
+complex is cut to its strong-homotopy core there, and a memo that lives for
+one `betti_table` call maps sorted facet tuples, before and after
 collapsing and renumbering, to their homology.  The Hochster oracle
-computes squarefree tables through the same routine from its full,
-uncollapsed complexes, with no memo and no symmetry.
+computes squarefree tables through the same `reduced_homology` from its
+full, uncollapsed complexes, with no memo and no symmetry.
 """
 
 from __future__ import annotations
@@ -30,11 +26,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 
 from .errors import LimitExceeded
 from .graphs import Graph
-from .homology import DEFAULT_PRIME, check_field, reduced_homology
+from .homology import (
+    DEFAULT_PRIME,
+    _core,
+    _core_homology,
+    _facets,
+    check_field,
+    reduced_homology,
+)
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -42,7 +45,6 @@ from .monomials import (
     _guard,
     _lcm_row,
     _quotient_supports,
-    _row,
     _monomial,
     contains,
     monomials_of_degree,
@@ -215,9 +217,7 @@ def _closure(a: MonomialIdeal, movers: list[itemgetter], cap: int) -> list[bytes
     and the pending count are those of the plain closure, cap included.
     """
     nv, base = a.nvars, a.packed
-    row, ones, guards = _row(base, nv)
-    width = nv * len(base)
-    chunks = [slice(j * nv, j * nv + nv) for j in range(len(base))]
+    row_lcms = _lcm_row(base, nv)
     seen: set[bytes] = set()
     gens = [g.to_bytes(nv, "big") for g in base]
     frontier = [min(_orbit(x, movers, seen)) for x in gens if x not in seen]
@@ -225,8 +225,7 @@ def _closure(a: MonomialIdeal, movers: list[itemgetter], cap: int) -> list[bytes
     while frontier:
         lcms: set[bytes] = set()
         for x in frontier:
-            row_lcms = _lcm_row(int.from_bytes(x, "big"), row, ones, guards, width)
-            lcms.update(map(row_lcms.__getitem__, chunks))
+            lcms.update(row_lcms(int.from_bytes(x, "big")))
         lcms -= seen
         fresh: set[bytes] = set()
         frontier = [min(_orbit(x, movers, fresh)) for x in lcms if x not in fresh]
@@ -272,84 +271,9 @@ class BettiTable:
         return max(b.degree() - i for i, b, _ in self.entries)
 
 
-def _facets(supports: set[int]) -> list[int]:
-    """The maximal masks among the supports: the facets of the complex they span."""
-    facets: list[int] = []
-    for m in sorted(supports, key=int.bit_count, reverse=True):
-        for f in facets:
-            if m & f == m:
-                break
-        else:
-            facets.append(m)
-    return facets
-
-
-def _core(facets: list[int]) -> list[int]:
-    """The facets of the strong-homotopy core of the complex with these facets.
-
-    Dominated vertices go one at a time, since two can dominate each other;
-    a cone goes to its apex at once.  [0] ({emptyset}) and [] (the void
-    complex) are their own cores.
-    """
-    while facets:
-        apex = reduce(and_, facets)
-        if apex:
-            return [apex & -apex]
-        union = reduce(or_, facets)
-        while union:
-            v = union & -union
-            union ^= v
-            if reduce(and_, (f for f in facets if f & v)) != v:  # v is dominated
-                facets = _facets({f & ~v for f in facets})
-                break
-        else:
-            return facets
-    return facets
-
-
-def _contractible(core: list[int]) -> bool:
-    """A core that is one nonempty simplex; [0] is {emptyset}, with H~_-1 = 1."""
-    return len(core) == 1 and core[0] != 0
-
-
-def _faces(facets: list[int]) -> set[int]:
-    """Every face of the complex: each submask of each facet, the empty one included."""
-    faces = set()
-    for f in facets:
-        sub = f
-        while True:
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & f
-    return faces
-
-
-def _relabel(facets: list[int]) -> list[int]:
-    """The facets with the complex's k vertices renumbered 0..k-1 in mask order."""
-    union = reduce(or_, facets, 0)
-    vertices = []
-    while union:
-        vertices.append(union & -union)
-        union &= union - 1
-    return [sum(1 << i for i, v in enumerate(vertices) if f & v) for f in facets]
-
-
-def _core_homology(core: list[int], memo: dict, field: str, prime: int) -> dict[int, int]:
-    """Reduced homology of a core, taken once per facet tuple up to renumbering.
-
-    Renumbering the vertices 0..k-1 is an isomorphism, so one memo entry,
-    keyed by the relabelled and sorted facets, serves every core that
-    renumbers to them.
-    """
-    if _contractible(core):
-        return {}
-    core = _relabel(core)
-    key = tuple(sorted(core))
-    if key not in memo:
-        faces = [tuple(v for v in range(f.bit_length()) if f >> v & 1) for f in _faces(core)]
-        memo[key] = reduced_homology(faces, field, prime)
-    return memo[key]
+def _entry_key(entry: tuple[int, Monomial, int]) -> tuple:
+    """Table order: i, then the degree of b, then b's exponents descending."""
+    return (entry[0], entry[1].degree(), tuple(-x for x in entry[1]))
 
 
 def betti_table(
@@ -388,7 +312,7 @@ def betti_table(
             for y in _orbit(x, movers, set()):
                 mono = _monomial(y)
                 entries.extend((d + 1, mono, rank) for d, rank in homology.items())
-    entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
+    entries.sort(key=_entry_key)
     return BettiTable(a.nvars, field, used_prime, tuple(entries))
 
 
@@ -419,36 +343,25 @@ def hochster_betti_table(
     check_field(field, prime)
     if any(not g.is_squarefree() for g in a.gens):
         raise ValueError("oracle only applies to squarefree ideals")
-    ground: set[int] = set()
-    for g in a.gens:
-        ground |= set(g.support())
+    ground = sorted({i for g in a.gens for i in g.support()})
     if len(ground) > max_vars:
         raise LimitExceeded(f"{len(ground)} variables exceed the {max_vars} oracle cap")
-    ground_list = sorted(ground)
     nv = a.nvars
-    # faces of the complement complex with their vertex bitmasks
-    faces = []
-    for r in range(len(ground_list) + 1):
-        for sub in itertools.combinations(ground_list, r):
-            exps = [0] * nv
-            for i in sub:
-                exps[i] = 1
-            if not contains(a, Monomial(exps)):
-                faces.append((sum(1 << i for i in sub), sub))
+    # every W in the ground set, empty first, as a vertex bitmask and a monomial
+    subsets = [
+        (sum(1 << i for i in sub), Monomial(1 if i in sub else 0 for i in range(nv)))
+        for r in range(len(ground) + 1)
+        for sub in itertools.combinations(ground, r)
+    ]
+    faces = [w for w, m in subsets if not contains(a, m)]
     entries: list[tuple[int, Monomial, int]] = []
-    for r in range(1, len(ground_list) + 1):
-        for sub in itertools.combinations(ground_list, r):
-            w = sum(1 << i for i in sub)
-            restricted = [f for m, f in faces if m & ~w == 0]
-            for d, rank in reduced_homology(restricted, field, prime).items():
-                i = len(sub) - d - 2
-                if i < 0:
-                    continue
-                exps = [0] * nv
-                for v in sub:
-                    exps[v] = 1
-                entries.append((i, Monomial(exps), rank))
-    entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
+    for w, m in subsets[1:]:
+        restricted = [f for f in faces if f & ~w == 0]
+        for d, rank in reduced_homology(restricted, field, prime).items():
+            i = w.bit_count() - d - 2
+            if i >= 0:
+                entries.append((i, m, rank))
+    entries.sort(key=_entry_key)
     used_prime = prime if field == "prime" else None
     return BettiTable(nv, field, used_prime, tuple(entries))
 

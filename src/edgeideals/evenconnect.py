@@ -146,33 +146,11 @@ def leaf_peel_order(cd: CycleDecomposition) -> LeafPeelOrder:
 class EdgeFactorization:
     """A multiset of edges whose product divides the host monomial."""
 
-    nvars: int
     edges: tuple[tuple[int, int], ...]
     remainder: Monomial
 
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    @property
-    def product(self) -> Monomial:
-        exps = [0] * self.nvars
-        for u, v in self.edges:
-            exps[u - 1] += 1
-            exps[v - 1] += 1
-        return Monomial(exps)
-
-    def host(self) -> Monomial:
-        return self.product.mul(self.remainder)
-
     def counts(self) -> dict[tuple[int, int], int]:
         return dict(Counter(self.edges))
-
-    def render(self) -> str:
-        parts = [f"(x{u}*x{v})" for u, v in self.edges] or ["1"]
-        if not self.remainder.is_unit():
-            parts.append(self.remainder.render())
-        return "*".join(parts)
 
 
 def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactorization]:
@@ -191,7 +169,7 @@ def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactoriz
 
     def rec(start: int, left: list[int], k: int) -> None:
         if k == 0:
-            out.append(EdgeFactorization(m.nvars, tuple(chosen), Monomial(left)))
+            out.append(EdgeFactorization(tuple(chosen), Monomial(left)))
             return
         if sum(left) < 2 * k:
             return
@@ -247,9 +225,6 @@ class GeneratorOrdering:
     order: EdgeOrder
     generators: tuple[Monomial, ...]
     expressions: tuple[EdgeFactorization, ...]
-
-    def position(self, m: Monomial) -> int:
-        return self.generators.index(m)
 
 
 def generator_ordering(

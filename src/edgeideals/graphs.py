@@ -159,11 +159,6 @@ def neighborhoods(g: Graph, vertices: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
-def closed_neighborhoods(g: Graph, vertices: Iterable[int]) -> frozenset:
-    vs = set(int(v) for v in vertices)
-    return frozenset(vs | neighborhoods(g, vs))
-
-
 def _adjacency_masks(g: Graph) -> list[int]:
     """Bit i (0-based) of masks[v] set when vertex i+1 is adjacent to v+1... indexed 0-based."""
     masks = [0] * g.vertex_count
@@ -320,7 +315,6 @@ def _odd_cycle_from_conflict(parent, v: int, w: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CycleData:
     odd_cycles: tuple[CycleCertificate, ...]
-    all_cycle_count: int
     on_cycle: tuple[bool, ...]  # indexed by vertex-1, true when on ANY simple cycle
 
     def vertex_on_cycle(self, v: int) -> bool:
@@ -356,7 +350,7 @@ def odd_cycles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> CycleData:
         (CycleCertificate(_canonical_cycle(c)) for c in cycles if len(c) % 2 == 1),
         key=lambda c: (c.length, c.vertices),
     )
-    return CycleData(odd_cycles=tuple(odd), all_cycle_count=len(cycles), on_cycle=tuple(on))
+    return CycleData(odd_cycles=tuple(odd), on_cycle=tuple(on))
 
 
 @dataclass(frozen=True)
@@ -365,13 +359,10 @@ class HypothesesReport:
 
     cycle: CycleCertificate
     n: int
-    neighborhood: tuple[int, ...]          # union of open neighborhoods of V(C)
-    closed_neighborhood: tuple[int, ...]   # the same union together with V(C)
+    neighborhood: tuple[int, ...]  # union of open neighborhoods of V(C)
     dominates_open: bool
-    dominates_closed: bool
     h_vertices: tuple[int, ...]
     h_graph: Graph
-    h_index_map: dict[int, int]
     h_off_all_cycles: bool
     nu_g: int
     nu_h: int
@@ -384,17 +375,16 @@ def check_hypotheses(
 ) -> HypothesesReport:
     """Dominance and nu-gap data for a designated odd cycle.
 
-    Both neighborhood conventions are reported; for cycle vertex sets they
-    coincide, and the open-union one drives everything downstream.
+    The neighborhood is the union of open neighborhoods of V(C); for a
+    cycle's vertex set it already contains V(C), so it is the closed one too.
     """
     c = CycleCertificate.check(g, c.vertices)
     if not c.is_odd:
         raise ValueError("designated cycle must be odd")
     nbhd = neighborhoods(g, c.vertices)
-    closed = closed_neighborhoods(g, c.vertices)
     all_vs = frozenset(g.vertices)
     h_vertices = tuple(sorted(all_vs - nbhd))
-    h_graph, h_map = induced_subgraph(g, h_vertices)
+    h_graph, _ = induced_subgraph(g, h_vertices)
     cyc = odd_cycles(g, max_vertices)
     off = all(not cyc.vertex_on_cycle(v) for v in h_vertices)
     nu_g, _ = induced_matching_number(g, max_vertices)
@@ -404,12 +394,9 @@ def check_hypotheses(
         cycle=c,
         n=c.half_length,
         neighborhood=tuple(sorted(nbhd)),
-        closed_neighborhood=tuple(sorted(closed)),
         dominates_open=nbhd == all_vs,
-        dominates_closed=closed == all_vs,
         h_vertices=h_vertices,
         h_graph=h_graph,
-        h_index_map=h_map,
         h_off_all_cycles=off,
         nu_g=nu_g,
         nu_h=nu_h,
@@ -433,7 +420,8 @@ def dominating_odd_cycles(
 def parse_graph_text(text: str) -> tuple[Graph, tuple[CycleCertificate, ...]]:
     """Parse the graph text format: 'n <count>', 'e <u> <v>', 'c <v1> ... <vk>'.
 
-    Blank lines and '#' comments are ignored.  Errors carry line numbers.
+    Blank lines and '#' comments are ignored.  Each 'c' line must be an odd
+    cycle of the graph, all of one length.  Errors carry line numbers.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -485,9 +473,15 @@ def parse_graph_text(text: str) -> tuple[Graph, tuple[CycleCertificate, ...]]:
     certs = []
     for lineno, vs in cycle_lines:
         try:
-            certs.append(CycleCertificate.check(g, vs))
+            cert = CycleCertificate.check(g, vs)
         except ValueError as exc:
             raise GraphFormatError(lineno, str(exc))
+        if not cert.is_odd:
+            raise GraphFormatError(lineno, f"designated cycle has even length {cert.length}")
+        if certs and cert.length != certs[0].length:
+            lengths = sorted({certs[0].length, cert.length})
+            raise GraphFormatError(lineno, f"designated cycles have mixed lengths {lengths}")
+        certs.append(cert)
     return g, tuple(certs)
 
 

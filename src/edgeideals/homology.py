@@ -1,9 +1,9 @@
-"""Exact rank engines and the one reduced-homology routine.
+"""Simplicial complexes on vertex bitmasks, exact ranks, and the one homology routine.
 
-A complex is given by the list of all its faces, each a sorted vertex
-tuple.  The void complex (no faces at all) and the irrelevant complex
-{emptyset} differ: the latter has reduced homology of rank one in
-dimension -1.  The Betti engine and the Hochster oracle both call
+A face is an int whose set bits are its vertices; 0 is the empty face.  The
+void complex (no faces at all) and the irrelevant complex {emptyset} differ:
+the latter has reduced homology of rank one in dimension -1.  The Betti
+engine, through `_core_homology`, and the Hochster oracle both call
 `reduced_homology`.
 
 Ranks of boundary maps are computed either over the rationals, by integer
@@ -13,7 +13,9 @@ point, no fraction blowup), or over a prime field.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 DEFAULT_PRIME = 32003
@@ -153,25 +155,26 @@ def rank_mod_p(rows: Sequence[dict], p: int = DEFAULT_PRIME) -> int:
 
 
 def boundary_rank(
-    lower: Sequence[tuple[int, ...]],
-    upper: Sequence[tuple[int, ...]],
+    lower: Sequence[int],
+    upper: Sequence[int],
     field: str = "rational",
     prime: int = DEFAULT_PRIME,
 ) -> int:
     """Rank of the boundary map from span(upper) to span(lower).
 
-    Faces are sorted vertex tuples; removing position idx carries the sign
-    (-1)^idx.  Rows of the sparse matrix are the upper faces.
+    Faces are vertex bitmasks and each one is its own column key.  Removing
+    the vertex at position idx, counting the set bits from the lowest,
+    carries the sign (-1)^idx.  Rows of the sparse matrix are the upper faces.
     """
     if not upper or not lower:
         return 0
-    index = {f: i for i, f in enumerate(lower)}
     rows = []
     for face in upper:
-        row = {}
-        for idx in range(len(face)):
-            sub = face[:idx] + face[idx + 1 :]
-            row[index[sub]] = 1 if idx % 2 == 0 else -1
+        row, sign, rest = {}, 1, face
+        while rest:
+            v = rest & -rest
+            row[face ^ v] = sign
+            sign, rest = -sign, rest ^ v
         rows.append(row)
     if field == "rational":
         return rank_rational(rows)
@@ -181,23 +184,21 @@ def boundary_rank(
 
 
 def reduced_homology(
-    faces: Iterable[tuple[int, ...]],
+    faces: Iterable[int],
     field: str = "rational",
     prime: int = DEFAULT_PRIME,
 ) -> dict[int, int]:
     """Nonzero reduced homology ranks by dimension of a complex given by its faces.
 
-    `faces` lists every face once as a sorted vertex tuple, the empty face
+    `faces` lists every face once as a vertex bitmask, the empty face 0
     included, so the augmentation map is part of the chain complex:
     rank H~_d = f_d - rank d_d - rank d_{d+1}.  No faces at all is the void
-    complex, with no homology; [()] is {emptyset}, with rank one in dimension -1.
+    complex, with no homology; [0] is {emptyset}, with rank one in dimension -1.
     The caller vouches for the field with `check_field`, once per table.
     """
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    by_dim: dict[int, list[int]] = {}
     for face in faces:
-        by_dim.setdefault(len(face) - 1, []).append(face)
-    for group in by_dim.values():
-        group.sort()
+        by_dim.setdefault(face.bit_count() - 1, []).append(face)
     bnd = {
         d: boundary_rank(by_dim.get(d - 1, []), group, field, prime)
         for d, group in by_dim.items()
@@ -206,3 +207,83 @@ def reduced_homology(
         d: len(group) - bnd[d] - bnd.get(d + 1, 0) for d, group in by_dim.items()
     }
     return {d: r for d, r in sorted(ranks.items()) if r}
+
+
+def _facets(supports: set[int]) -> list[int]:
+    """The maximal masks among the supports: the facets of the complex they span."""
+    facets: list[int] = []
+    for m in sorted(supports, key=int.bit_count, reverse=True):
+        for f in facets:
+            if m & f == m:
+                break
+        else:
+            facets.append(m)
+    return facets
+
+
+def _core(facets: list[int]) -> list[int]:
+    """The facets of the strong-homotopy core of the complex with these facets.
+
+    Deleting a dominated vertex (another vertex lies in every facet
+    containing it) keeps the homotopy type (Barmak-Minian).  They go one at
+    a time, since two can dominate each other; a cone goes to its apex at
+    once.  [0] ({emptyset}) and [] (the void complex) are their own cores.
+    """
+    while facets:
+        apex = reduce(and_, facets)
+        if apex:
+            return [apex & -apex]
+        union = reduce(or_, facets)
+        while union:
+            v = union & -union
+            union ^= v
+            if reduce(and_, (f for f in facets if f & v)) != v:  # v is dominated
+                facets = _facets({f & ~v for f in facets})
+                break
+        else:
+            return facets
+    return facets
+
+
+def _contractible(core: list[int]) -> bool:
+    """A core that is one nonempty simplex; [0] is {emptyset}, with H~_-1 = 1."""
+    return len(core) == 1 and core[0] != 0
+
+
+def _faces(facets: list[int]) -> set[int]:
+    """Every face of the complex: each submask of each facet, the empty one included."""
+    faces = set()
+    for f in facets:
+        sub = f
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    return faces
+
+
+def _relabel(facets: list[int]) -> list[int]:
+    """The facets with the complex's k vertices renumbered 0..k-1 in mask order."""
+    union = reduce(or_, facets, 0)
+    vertices = []
+    while union:
+        vertices.append(union & -union)
+        union &= union - 1
+    return [sum(1 << i for i, v in enumerate(vertices) if f & v) for f in facets]
+
+
+def _core_homology(core: list[int], memo: dict, field: str, prime: int) -> dict[int, int]:
+    """Reduced homology of a core, taken once per facet tuple up to renumbering.
+
+    Renumbering the vertices 0..k-1 is an isomorphism, so one memo entry,
+    keyed by the relabelled and sorted facets, serves every core that
+    renumbers to them.
+    """
+    if _contractible(core):
+        return {}
+    core = _relabel(core)
+    key = tuple(sorted(core))
+    if key not in memo:
+        memo[key] = reduced_homology(_faces(core), field, prime)
+    return memo[key]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded, UniverseMismatch
 
@@ -65,22 +65,10 @@ class Monomial(tuple):
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self) if e)
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        _same_universe(self, other)
-        return _monomial(a + b for a, b in zip(self, other))
-
     def pow(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("negative power of a monomial")
         return _monomial(e * k for e in self)
-
-    def divides(self, other: "Monomial") -> bool:
-        _same_universe(self, other)
-        return all(a <= b for a, b in zip(self, other))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _same_universe(self, other)
-        return _monomial(max(a, b) for a, b in zip(self, other))
 
     def render(self) -> str:
         if self.is_unit():
@@ -120,11 +108,6 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
             raise ValueError(f"variable x{idx} outside universe of size {nvars}")
         exps[idx - 1] += int(m.group(2) or 1)
     return Monomial(exps)
-
-
-def _same_universe(a, b) -> None:
-    if len(a) != len(b):
-        raise UniverseMismatch(f"universe sizes differ: {len(a)} vs {len(b)}")
 
 
 def _guard(nvars: int) -> int:
@@ -167,36 +150,26 @@ def _colon(p: int, d: int, guard: int) -> int:
     return diff & _spread(diff & guard)
 
 
-def _lcms(xs: Iterable[int], ys: Sequence[int], guard: int) -> set[int]:
-    """lcm(x, y) for every pair: y, raised to x where x_i >= y_i."""
-    shift = _BITS - 1  # _spread, inlined in the hottest loop
-    out = set()
-    for x in xs:
-        xg = x | guard
-        for y in ys:
-            t = (xg - y) & guard
-            out.add(y ^ ((x ^ y) & (t - (t >> shift))))
-    return out
+def _lcm_row(gens: Sequence[int], nvars: int) -> Callable[[int], Iterator[bytes]]:
+    """A map from packed x to lcm(x, y) for every generator y, as nvars-byte chunks.
 
-
-def _row(gens: Sequence[int], nvars: int) -> tuple[int, int, int]:
-    """The packed generators side by side in one int, the first one most
-    significant, with `ones` (a 1 in the last byte of each generator's
-    chunk) and `guards` (the guard bits of every chunk)."""
+    The generators sit side by side in one int (a row), the first most
+    significant; x * ones is x beside each, so one select serves every pair:
+    y, raised to x where x_i >= y_i.
+    """
     row = int.from_bytes(b"".join(g.to_bytes(nvars, "big") for g in gens), "big")
     ones = sum(1 << _BITS * nvars * j for j in range(len(gens)))
-    return row, ones, _guard(nvars) * ones
+    guards = _guard(nvars) * ones
+    width = nvars * len(gens)
+    chunks = [slice(j * nvars, j * nvars + nvars) for j in range(len(gens))]
 
+    def lcms(x: int) -> Iterator[bytes]:
+        xs = x * ones
+        t = ((xs | guards) - row) & guards
+        lcm = (row ^ ((xs ^ row) & _spread(t))).to_bytes(width, "big")
+        return map(lcm.__getitem__, chunks)
 
-def _lcm_row(x: int, row: int, ones: int, guards: int, width: int) -> bytes:
-    """lcm(x, y) for every generator y of a `_row`, as the `width` bytes of one row.
-
-    x * ones is x beside each generator, so one select serves every pair,
-    as in `_lcms`; chunk j of the bytes is lcm(x, y_j) in packed form.
-    """
-    xs = x * ones
-    t = ((xs | guards) - row) & guards
-    return (row ^ ((xs ^ row) & _spread(t))).to_bytes(width, "big")
+    return lcms
 
 
 def _quotient_supports(b: int, gens: Iterable[int], guard: int) -> set[int]:
@@ -415,9 +388,11 @@ def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
 
 
 def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcms of the generators."""
+    """Intersection via pairwise lcms of the generators, a row of b's at a time."""
     _check_pair(a, b)
-    return MonomialIdeal._from_packed(a.nvars, _lcms(a.packed, b.packed, _guard(a.nvars)))
+    lcms = _lcm_row(b.packed, a.nvars)
+    gens = {int.from_bytes(z, "big") for x in a.packed for z in lcms(x)}
+    return MonomialIdeal._from_packed(a.nvars, gens)
 
 
 def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:

@@ -134,10 +134,6 @@ class VerificationReport:
         if self.status == "skipped" and not self.reason:
             raise ValueError("a skipped report must carry a reason")
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 def report_dict(r: VerificationReport, include_timing: bool = False) -> dict:
     out = {

@@ -67,6 +67,16 @@ def test_parse_rejects_duplicate_edge(tmp_path, capsys):
     assert "duplicate edge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_even_designated_cycle_exits_2(tmp_path, capsys, verb):
+    p = tmp_path / "c4.graph"
+    p.write_text("n 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\nc 1 2 3 4\n")
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 6: designated cycle has even length 4\n"
+
+
 def test_sympow_output(c5_file, capsys):
     assert main(["sympow", c5_file, "--s-max", "2"]) == 0
     out = capsys.readouterr().out
@@ -168,6 +178,18 @@ def test_vertex_cap(tmp_path, capsys, c5_file):
     assert "exceed" in capsys.readouterr().err
 
 
+def test_vertex_cap_below_seeded_graphs(capsys):
+    # the seeded graphs have 4 to 6 vertices: under a smaller cap their rows skip
+    assert main(["check", "--max-vertices", "3", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)
+    assert len(rows) == 10
+    for row in rows:
+        assert row["instance"]["label"].startswith("seeded-")
+        assert row["status"] == "skipped" and "max_vertices cap is 3" in row["reason"]
+
+
 def test_bad_field_value(c5_file):
     with pytest.raises(SystemExit):
         main(["reg", c5_file, "--field", "fancy"])
@@ -210,17 +232,26 @@ def test_large_prime_field_accepted(c5_file, capsys):
     "suite_args, want",
     [
         (
-            ["--suite", "regularity"],
+            ["--suite", "regularity", "--s-max", "2"],
             "64dc02e722ca4285c8a39ed999f1b0ef6b7acd2424237bb978ae435940fb2720",
         ),
-        ([], "77bc16881a66f453055e6a8f87e93514b3c27506d27ea521a39bade57eba5776"),
+        (
+            ["--s-max", "2"],
+            "77bc16881a66f453055e6a8f87e93514b3c27506d27ea521a39bade57eba5776",
+        ),
+        # the default run: s = 3 Betti tables and capped rows
+        ([], "146326b1bec3f17e565bc7afea7c7b0d74ea4759007b01328fc631e90fd401fe"),
+        (
+            ["--field", "32003", "--suite", "regularity"],
+            "9758e786d34b5e237d513cebd7b5bf082c8d1e3eef09cdd36428aabe58da0aea",
+        ),
     ],
-    ids=["regularity", "all-suites"],
+    ids=["regularity", "all-suites", "default", "regularity-prime"],
 )
 def test_regularity_suite_report_bytes_pinned(tmp_path, suite_args, want):
     # sha256 of these reports; the bytes may only change on purpose.
     out = tmp_path / "report.json"
-    args = ["check", "--format", "json", *suite_args, "--s-max", "2"]
+    args = ["check", "--format", "json", *suite_args]
     assert main(args + ["--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == want

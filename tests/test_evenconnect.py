@@ -60,7 +60,6 @@ def test_enumerate_factorizations_examples():
     facs = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), c5, 2)
     assert [f.edges for f in facs] == [((1, 2), (3, 4))]
     assert facs[0].remainder.is_unit()
-    assert facs[0].product == _mono("x1*x2*x3*x4", 5)
 
     facs = enumerate_factorizations(_mono("x1*x2^2*x3", 5), c5, 2)
     assert [f.edges for f in facs] == [((1, 2), (2, 3))]
@@ -73,7 +72,6 @@ def test_enumerate_factorizations_examples():
     # leftover degree is recorded when the monomial is larger than 2s
     facs = enumerate_factorizations(_mono("x1*x2*x4", 5), c5, 1)
     assert [(f.edges, f.remainder.render()) for f in facs] == [(((1, 2),), "x4")]
-    assert facs[0].host() == _mono("x1*x2*x4", 5)
 
     unit = enumerate_factorizations(_mono("x3", 5), c5, 0)
     assert len(unit) == 1 and unit[0].edges == ()
@@ -133,7 +131,6 @@ def test_generator_ordering_total_and_consistent():
     for i in range(len(us)):
         for j in range(i + 1, len(us)):
             assert keys[i] > keys[j], (i, j)
-    assert go.position(us[3]) == 3
     # the greatest generator is the square of the greatest edge
     assert us[0] == _mono("x4^2*x5^2", 5)
     with pytest.raises(ValueError):

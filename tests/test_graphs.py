@@ -196,7 +196,7 @@ def test_check_hypotheses_gap_instances():
     g, cert = cycle_with_paths(5, [(1, 2), (1, 2)])
     rep = check_hypotheses(g, cert)
     assert rep.n == 2
-    assert not rep.dominates_open and not rep.dominates_closed
+    assert not rep.dominates_open
     assert rep.h_vertices == (7, 9)
     assert rep.h_graph.is_edgeless()
     assert rep.h_off_all_cycles
@@ -210,7 +210,7 @@ def test_check_hypotheses_gap_instances():
     # plain C_5 dominates itself but has no gap
     c5 = cycle_graph(5)
     rep5 = check_hypotheses(c5, CycleCertificate.check(c5, (1, 2, 3, 4, 5)))
-    assert rep5.dominates_open and rep5.dominates_closed
+    assert rep5.dominates_open
     assert rep5.h_vertices == () and rep5.nu_h == 0 and rep5.gap == 1
     assert not rep5.gap_at_least_3
 
@@ -244,6 +244,22 @@ def test_parse_graph_text_roundtrip_and_errors():
         with pytest.raises(GraphFormatError) as exc:
             parse_graph_text(bad)
         assert exc.value.line_number == lineno
+
+    # designated cycles must be odd, and all of one length
+    c4 = "n 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
+    triangle_and_c5 = (
+        "n 8\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\ne 6 7\ne 7 8\ne 4 8\n"
+    )
+    for bad, message in [
+        (c4 + "c 1 2 3 4\n", "line 6: designated cycle has even length 4"),
+        (
+            triangle_and_c5 + "c 1 2 3\nc 4 5 6 7 8\n",
+            "line 11: designated cycles have mixed lengths [3, 5]",
+        ),
+    ]:
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph_text(bad)
+        assert str(exc.value) == message
 
 
 def test_random_connected_helpers():

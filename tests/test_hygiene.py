@@ -101,3 +101,74 @@ def test_only_the_suite_layer_imports_reports():
 )
 def test_report_import_guard(source, flagged):
     assert imports_reports(source) is flagged
+
+
+# Public names that no verb reaches but the tests and the benchmark call:
+# `lcm_closure` is the closure without symmetry that the Betti tests compare
+# with, and `ideal_contains` / `ideal_equal` are the ideal comparisons both use.
+_CALLED_FROM_OUTSIDE = {"lcm_closure", "ideal_contains", "ideal_equal"}
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for every name, attribute, import alias and __all__ string."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out += [(name, node.lineno) for name in (alias.name, alias.asname) if name]
+    out += [(name, 0) for name in _exported(tree)]
+    return out
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every function and method, dunders aside, that
+    the given modules never name outside its own definition."""
+    defs, named = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defs.append((module, node.name, node.lineno, node.end_lineno))
+        for name, line in _references(tree):
+            named.setdefault(name, []).append((module, line))
+    return [
+        (module, name, start)
+        for module, name, start, end in defs
+        if not any(m != module or not start <= line <= end for m, line in named.get(name, ()))
+    ]
+
+
+def test_every_definition_is_named_in_src():
+    src = _ROOT / "src" / "edgeideals"
+    sources = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
+    unnamed = unnamed_definitions(sources)
+    assert [d for d in unnamed if d[1] not in _CALLED_FROM_OUTSIDE] == []
+
+
+def test_guard_flags_an_unnamed_definition():
+    sources = {
+        "a": (
+            "__all__ = ['exported']\n"
+            "def exported():\n"
+            "    pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class A:\n"
+            "    def __eq__(self, other):\n"
+            "        return self.method()\n"
+            "    def method(self):\n"
+            "        return 1\n"
+            "    def spare(self):\n"
+            "        pass\n"
+            "def imported():\n"
+            "    pass\n"
+        ),
+        "b": "from .a import imported as alias\n",
+    }
+    assert unnamed_definitions(sources) == [("a", "recursive", 4), ("a", "spare", 11)]

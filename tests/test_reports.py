@@ -84,12 +84,10 @@ def test_report_invariants():
         VerificationReport("decomposition", "x", info, "fail")  # no witnesses
     with pytest.raises(ValueError):
         VerificationReport("decomposition", "x", info, "skipped")  # no reason
-    rep = VerificationReport("decomposition", "x", info, "pass")
-    assert rep.ok
-    assert not VerificationReport(
-        "m2s", "x", info, "fail", witnesses=("w",)
-    ).ok
-    assert VerificationReport("m2s", "x", info, "skipped", reason="r").ok
+    # a pass, a fail with a witness and a skip with a reason are accepted
+    VerificationReport("decomposition", "x", info, "pass")
+    VerificationReport("m2s", "x", info, "fail", witnesses=("w",))
+    VerificationReport("m2s", "x", info, "skipped", reason="r")
 
 
 def test_emitters_deterministic_and_parseable():
