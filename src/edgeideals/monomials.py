@@ -13,6 +13,12 @@ the guard bits, a divides b iff ((b | G) - a) & G == G (no borrow crosses a
 byte); the guard bits left set, spread over their bytes, select lcm and
 colon per variable; a product is a + b, overflowed iff a guard bit is set;
 the degree is the byte sum, and the canonical order is (degree, -p).
+
+Minimalizing buckets the packed candidates by degree and tests each only
+against the generators kept at lower degrees.  Because the minimal set is
+unique and lies inside every generating set, whether a set of packed
+monomials generates a known ideal is decided on the raw set, without
+minimalizing it (`_generates`).
 """
 
 from __future__ import annotations
@@ -150,6 +156,17 @@ def _colon(p: int, d: int, guard: int) -> int:
     return diff & _spread(diff & guard)
 
 
+def _quotients(gens: Iterable[int], d: int, guard: int) -> set[int]:
+    """The distinct packed g : d over the packed generators g."""
+    shift = _BITS - 1
+    return {  # _colon(g, d, guard), inlined
+        diff & (t - (t >> shift))
+        for g in gens
+        for diff in ((g | guard) - d,)
+        for t in (diff & guard,)
+    }
+
+
 def _lcm_row(gens: Sequence[int], nvars: int) -> Callable[[int], Iterator[bytes]]:
     """A map from packed x to lcm(x, y) for every generator y, as nvars-byte chunks.
 
@@ -199,31 +216,49 @@ def _of_degree(nvars: int, t: int, variables: Sequence[int]) -> set[int]:
 def _minimal(gens: Collection[int], nvars: int) -> tuple[int, ...]:
     """The minimal generators of the ideal that packed monomials generate.
 
-    They come back in canonical order.  A generator is dropped when another
-    (distinct, after dedup) generator divides it.  Sorting by degree first
-    means each candidate only needs testing against the kept generators of
-    lower degree: distinct monomials of one degree never divide each other.
+    They come back in canonical order.  The distinct candidates are bucketed
+    by degree; the buckets are walked upward, each in descending packed
+    order, and a candidate is kept unless a generator kept at a lower degree
+    divides it: distinct monomials of one degree never divide each other.
     A packed product whose exponent overflowed carries a guard bit and
-    raises LimitExceeded here.
+    raises LimitExceeded here, whether or not a kept generator divides it.
     """
     guard = _guard(nvars)
-    ordered = sorted([(sum(p.to_bytes(nvars, "big")), -p) for p in set(gens)])
-    kept: list[int] = []
-    lower: list[int] = []
-    degree = -1
-    for d, neg in ordered:
-        c = -neg
-        if c & guard:
+    buckets: dict[int, list[int]] = {}
+    for p in set(gens):
+        if p & guard:
             raise LimitExceeded(_OVERFLOW)
-        if d != degree:
-            degree, lower = d, kept[:]
-        cg = c | guard
-        for k in lower:
-            if (cg - k) & guard == guard:
-                break
-        else:
-            kept.append(c)
+        buckets.setdefault(sum(p.to_bytes(nvars, "big")), []).append(p)
+    kept: list[int] = []
+    for d in sorted(buckets):
+        fresh = []
+        for c in sorted(buckets[d], reverse=True):
+            cg = c | guard
+            for k in kept:
+                if (cg - k) & guard == guard:
+                    break
+            else:
+                fresh.append(c)
+        kept += fresh
     return tuple(kept)
+
+
+def _generates(gens: set[int], b: "MonomialIdeal") -> bool:
+    """The packed monomials, none with a guard bit, generate exactly b.
+
+    A monomial ideal has a unique minimal generating set, and it lies inside
+    every generating set: a minimal generator is a multiple of some element
+    of the set, which is a multiple of some minimal generator, so the two
+    minimal generators are equal and so is the element.  Hence gens generate
+    b iff they contain b's minimal generators and every other element of
+    gens is a multiple of one of them, and then b.packed is their
+    minimalization; nothing needs sorting or minimalizing to decide it.
+    """
+    kept = b.packed
+    if not gens.issuperset(kept):
+        return False
+    guard = _guard(b.nvars)
+    return all(_member(p, kept, guard) for p in gens.difference(kept))
 
 
 def minimalize(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
@@ -349,6 +384,8 @@ def first_difference(a: MonomialIdeal, b: MonomialIdeal):
     that contains it.
     """
     _check_pair(a, b)
+    if a.packed == b.packed:
+        return None
     guard = _guard(a.nvars)
     for g in a.packed:
         if not _member(g, b.packed, guard):
@@ -404,15 +441,9 @@ def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
     if isinstance(d, Monomial):
         if d.nvars != a.nvars:
             raise UniverseMismatch("colon divisor universe differs")
-        guard = _guard(a.nvars)
-        dp = _pack(d)
-        shift = _BITS - 1
-        quotients = set()
-        for g in a.packed:  # _colon(g, dp, guard), inlined
-            diff = (g | guard) - dp
-            t = diff & guard
-            quotients.add(diff & (t - (t >> shift)))
-        return MonomialIdeal._from_packed(a.nvars, quotients)
+        return MonomialIdeal._from_packed(
+            a.nvars, _quotients(a.packed, _pack(d), _guard(a.nvars))
+        )
     if isinstance(d, MonomialIdeal):
         _check_pair(a, d)
         if d.is_zero:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from edgeideals import evenconnect
 from edgeideals.evenconnect import (
     EdgeOrder,
+    EvenColonResult,
     colon_via_even_connections,
     enumerate_factorizations,
     even_connections,
@@ -32,6 +35,8 @@ from edgeideals.graphs import CycleCertificate, Graph
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    first_difference,
+    ideal_colon,
     ideal_equal,
     ideal_sum,
     parse_ideal,
@@ -268,7 +273,8 @@ def test_colon_via_even_connections_deeper():
         colon_via_even_connections(c5, _mono("x1*x2", 5), 1)
     with pytest.raises(ValueError):
         colon_via_even_connections(c5, _mono("x1*x2*x3", 5), 2)
-    with pytest.raises(ValueError):
+    message = re.escape("x1^2*x3^2 is not in I^2 for the edge ideal I")
+    with pytest.raises(ValueError, match=message):
         colon_via_even_connections(c5, _mono("x1^2*x3^2", 5), 3)
 
 
@@ -288,6 +294,62 @@ def test_walk_built_colon_matches_monomial_sum():
                     extra.append(Monomial(exps))
                 want = ideal_sum(edge_ideal(g), MonomialIdeal(nv, extra))
                 assert res.built == want, (g.edges, u.render())
+
+
+def _reference_colon_result(g, u, s):
+    """The EvenColonResult rebuilt from the minimalized direct colon and
+    first_difference, with the pairs that `even_connections` now returns."""
+    nv = g.vertex_count
+    pairs = set()
+    for f in enumerate_factorizations(u, g, s - 1):
+        pairs.update(evenconnect.even_connections(f, g))
+    extra = []
+    for a, b in pairs:
+        exps = [0] * nv
+        exps[a - 1] += 1
+        exps[b - 1] += 1
+        extra.append(Monomial(exps))
+    built = ideal_sum(edge_ideal(g), MonomialIdeal(nv, extra))
+    direct = ideal_colon(ordinary_power(g, s), u)
+    diff = first_difference(built, direct)
+    side = None
+    if diff is not None:
+        side = "walk-built colon only" if diff[1] == "left" else "direct colon only"
+    return EvenColonResult(
+        built, direct, diff is None, None if diff is None else diff[0], side,
+        tuple(sorted(pairs)),
+    )
+
+
+@pytest.mark.parametrize(
+    "change, patched",
+    [
+        (lambda real: real, False),
+        (lambda real: (), True),
+        (lambda real: real[1:], True),
+        (lambda real: tuple(sorted({*real, (1, 1)})), True),
+    ],
+    ids=["unpatched", "no-pairs", "first-pair-dropped", "self-pair-x1"],
+)
+def test_colon_result_matches_minimalized_reference(monkeypatch, change, patched):
+    real = evenconnect.even_connections
+    monkeypatch.setattr(
+        evenconnect, "even_connections", lambda f, g, **kw: change(real(f, g, **kw))
+    )
+    rng = random.Random(_SEED + 1)
+    graphs = [cycle_graph(5), two_paths_graph()[0]]
+    graphs += [random_connected_graph(rng, rng.randint(4, 6), 0.5) for _ in range(4)]
+    mismatches = 0
+    for g in graphs:
+        for s in (2, 3):
+            for u in ordinary_power(g, s - 1).gens:
+                res = colon_via_even_connections(g, u, s)
+                want = _reference_colon_result(g, u, s)
+                assert res == want, (g.edges, s, u.render())
+                assert res.direct.gens == want.direct.gens
+                mismatches += not res.matches
+    # a wrong pair set must reach the minimalizing branch at least once
+    assert (mismatches > 0) == patched
 
 
 def test_colon_equivalence_random_graphs():

@@ -12,7 +12,12 @@ from edgeideals.errors import LimitExceeded, UniverseMismatch
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    _generates,
+    _guard,
     _meet_prime_power,
+    _minimal,
+    _pack,
+    _quotients,
     _unpack,
     alpha_degree,
     contains,
@@ -178,6 +183,93 @@ def test_membership_semantics_sampled():
             assert contains(quot, m) == all(
                 contains(a, Monomial(x + y for x, y in zip(m, gg))) for gg in d.gens
             )
+
+
+@st.composite
+def _packed_candidates(draw):
+    """Packed monomials of mixed degrees, some drawn twice, in a shuffled list."""
+    nv = draw(st.integers(min_value=1, max_value=6))
+    mono = st.lists(st.integers(min_value=0, max_value=4), min_size=nv, max_size=nv)
+    exps = draw(st.lists(mono, max_size=14))
+    exps += draw(st.lists(st.sampled_from(exps), max_size=6)) if exps else []
+    return nv, draw(st.permutations([_pack(e) for e in exps]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_packed_candidates())
+def test_prop_minimal_matches_pairwise_reference(case):
+    nv, packed = case
+    want = [_pack(t) for t in _naive_ideal([_unpack(p, nv) for p in packed])]
+    assert list(_minimal(packed, nv)) == want
+
+
+def test_minimal_raises_on_a_guard_bit_even_when_a_kept_generator_divides_it():
+    # 0x81 is x1 with the guard bit set: x1 = 0x01 divides it, yet it must raise
+    with pytest.raises(LimitExceeded):
+        _minimal([0x01, 0x81], 1)
+    with pytest.raises(LimitExceeded):
+        _minimal([0x0100, 0x0181, 0x0001], 2)
+    assert _minimal([0x01, 0x02, 0x01], 1) == (0x01,)
+
+
+def test_generates_agrees_with_minimalizing():
+    rng = random.Random(_SEED + 9)
+    for _ in range(200):
+        nv = rng.randint(1, 5)
+        a = random_ideal(rng, nv, rng.randint(1, 6))
+        d = Monomial(tuple(rng.randint(0, 3) for _ in range(nv)))
+        q = _quotients(a.packed, _pack(d), _guard(nv))
+        direct = MonomialIdeal._from_packed(nv, q)
+        assert _generates(q, direct)
+        for other in (a, random_ideal(rng, nv, rng.randint(1, 4)), MonomialIdeal.zero(nv)):
+            assert _generates(q, other) == (other == direct)
+        # one minimal generator missing from the set, or one extra non-multiple
+        assert not _generates(q - {direct.packed[0]}, direct)
+        assert _generates(set(), MonomialIdeal.zero(nv))
+        assert _generates({0, *q}, MonomialIdeal.unit(nv))
+
+
+def _reference_difference(a, b):
+    """The first minimal generator of a outside b, else of b outside a."""
+    inside = lambda m, c: any(all(x <= y for x, y in zip(g, m)) for g in c.gens)
+    for m in a.gens:
+        if not inside(m, b):
+            return m, "left"
+    for m in b.gens:
+        if not inside(m, a):
+            return m, "right"
+    return None
+
+
+def test_first_difference_equal_ideals_by_different_routes():
+    a = parse_ideal("x1*x2, x2*x3, x1*x3", 3)
+    routes = [
+        MonomialIdeal(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 1, 0)]),
+        ideal_sum(parse_ideal("x1*x2", 3), parse_ideal("x2*x3, x1*x3, x1^3*x2", 3)),
+        ideal_colon(parse_ideal("x1^2*x2, x1*x2*x3, x1^2*x3", 3), parse_monomial("x1", 3)),
+    ]
+    for b in routes:
+        assert b is not a and b.packed == a.packed
+        assert first_difference(a, b) is None
+        assert first_difference(b, a) is None
+    with pytest.raises(UniverseMismatch):
+        first_difference(a, parse_ideal("x1*x2", 4))
+
+
+def test_first_difference_witnesses_match_reference():
+    assert first_difference(parse_ideal("x1*x2, x3", 3), parse_ideal("x1, x3^2", 3)) == (
+        parse_monomial("x3", 3), "left"
+    )
+    assert first_difference(parse_ideal("x1", 2), parse_ideal("x1, x2^2", 2)) == (
+        parse_monomial("x2^2", 2), "right"
+    )
+    rng = random.Random(_SEED + 10)
+    for _ in range(150):
+        nv = rng.randint(1, 5)
+        a = random_ideal(rng, nv, rng.randint(1, 5))
+        b = random_ideal(rng, nv, rng.randint(1, 5))
+        for x, y in ((a, b), (b, a), (a, ideal_sum(a, b)), (ideal_product(a, b), a)):
+            assert first_difference(x, y) == _reference_difference(x, y)
 
 
 def test_inclusion_and_equality():

@@ -110,6 +110,35 @@ def test_even_connection_cap_skips_the_colon_rows(monkeypatch):
     assert exit_code(reports) == 0
 
 
+@pytest.mark.parametrize(
+    "change, side, witnesses",
+    [
+        # no pair at all: the walk-built colon is I, short of every x_a x_b
+        (
+            lambda real: (),
+            "direct colon only",
+            ["x3*x5", "x3*x5", "x3^2", "x3*x5", "x2*x3", "x2*x4", "x4^2"],
+        ),
+        # x1 paired with itself: x1^2 lies in no colon checked here
+        (lambda real: tuple(sorted({*real, (1, 1)})), "walk-built colon only", ["x1^2"] * 7),
+    ],
+    ids=["no-pairs", "self-pair-x1"],
+)
+def test_colon_rows_fail_on_wrong_even_connections(monkeypatch, change, side, witnesses):
+    real = evenconnect.even_connections
+    monkeypatch.setattr(
+        evenconnect, "even_connections", lambda f, g, **kw: change(real(f, g, **kw))
+    )
+    cfg = RunConfig(s_min=1, s_max=3, suites=("banerjee",))
+    reports = run_suite(cfg, [GraphInstance(cycle_graph(5), (cycle_certificate(5),), "C5")])
+    by = _by_check(reports)
+    rows = by[("banerjee", "colon-equivalence")] + by[("banerjee", "seeded-colon")]
+    assert len(rows) == 2 + 5
+    assert [r.status for r in rows] == ["fail"] * 7
+    assert [r.witnesses for r in rows] == [(w, side) for w in witnesses]
+    assert exit_code(reports) == 1
+
+
 def test_regularity_gate_reason():
     g, cert = cycle_with_paths(5, [(1, 2)])
     cfg = RunConfig(s_min=1, s_max=1, suites=("regularity",))
