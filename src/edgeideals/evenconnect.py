@@ -25,11 +25,9 @@ from .monomials import (
     MonomialIdeal,
     _colon,
     _degree,
-    _generates,
     _guard,
     _member,
     _pack,
-    _quotients,
     _unpack,
     contains,
     first_difference,
@@ -326,9 +324,12 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
 
     Builds I + (x_a x_b over even-connected pairs, x = y allowed) over every
     factorization of u and compares it with the direct colon, generated by
-    the quotients g : u over the generators g of I^s.  Equality is decided on
-    the raw quotients (`monomials._generates`); only when they generate
-    another ideal is the direct colon minimalized and a witness sought.
+    the quotients g : u over the generators g of I^s.  The quotients come as
+    one row from the row of I^s, and equality is decided on that row
+    (`_Row.generate`): one pass per walk-built generator finds it among the
+    quotients and marks the quotients it divides.  Only when they generate
+    another ideal is the row split, the direct colon minimalized and a
+    witness sought.
     """
     if s < 2:
         raise ValueError("the colon comparison needs s >= 2")
@@ -350,11 +351,12 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
         {(1 << _BITS * (nv - a)) + (1 << _BITS * (nv - b)) for a, b in pairs}
         | set(edge_ideal(g).packed),
     )
-    quotients = _quotients(ordinary_power(g, s).packed, _pack(u), _guard(nv))
-    if _generates(quotients, built):
+    row = ordinary_power(g, s).row
+    quotients = row.quotients(_pack(u))
+    if row.generate(quotients, built.packed):
         direct, diff = built, None
     else:
-        direct = MonomialIdeal._from_packed(nv, quotients)
+        direct = MonomialIdeal._from_packed(nv, row.split(quotients))
         diff = first_difference(built, direct)
     matches = diff is None
     witness = None if matches else diff[0]
@@ -408,14 +410,14 @@ def verify_order_lemma(
     nv = g.vertex_count
     guard = _guard(nv)
     packed = [_pack(u) for u in us]
-    higher = ordinary_power(g, s + 1).packed
+    higher = ordinary_power(g, s + 1).row
     for k in range(1, len(us)):
         uk = packed[k]
         colons = [_colon(uj, uk, guard) for uj in packed[:k]]
         variables = {q for q in colons if _degree(q, nv) == 1}  # earlier u_i : u_k
         for j, w in enumerate(colons):
             # w * u_k = lcm(u_j, u_k), so no exponent can overflow
-            if _member(w, variables, guard) or _member(w + uk, higher, guard):
+            if _member(w, variables, guard) or higher.member(w + uk):
                 continue
             failure = (j + 1, k + 1, us[j], us[k], _unpack(w, nv))
             return LemmaResult(order, k * (k - 1) // 2 + j + 1, len(us), failure)

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from edgeideals.betti import lcm_closure
 from edgeideals.errors import LimitExceeded, UniverseMismatch
 from edgeideals.monomials import (
+    MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
-    _generates,
+    _colon,
     _guard,
     _meet_prime_power,
+    _member,
     _minimal,
     _pack,
     _quotients,
+    _Row,
     _unpack,
     alpha_degree,
     contains,
@@ -212,21 +215,74 @@ def test_minimal_raises_on_a_guard_bit_even_when_a_kept_generator_divides_it():
     assert _minimal([0x01, 0x02, 0x01], 1) == (0x01,)
 
 
+@st.composite
+def _row_cases(draw):
+    """Packed generators (duplicates, the unit, one alone), a divisor and a probe.
+
+    The divisor is often a multiple of a generator, so some quotients are
+    zero, and the probe often a multiple of one, so it lies in the ideal.
+    """
+    nv = draw(st.integers(min_value=1, max_value=9))
+    exps = st.integers(min_value=0, max_value=MAX_EXPONENT)
+    mono = st.lists(exps, min_size=nv, max_size=nv)
+    gens = draw(st.one_of(
+        st.lists(mono, min_size=1, max_size=12),
+        st.just([[0] * nv]),
+        st.lists(mono, min_size=1, max_size=1),
+    ))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=4))
+
+    def near_a_generator():
+        base = draw(st.one_of(mono, st.sampled_from(gens)))
+        return [min(MAX_EXPONENT, e + draw(st.integers(0, 3))) for e in base]
+
+    d, p = near_a_generator(), near_a_generator()
+    return nv, [_pack(g) for g in draw(st.permutations(gens))], _pack(d), _pack(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_cases())
+def test_prop_row_kernel_matches_per_generator_references(case):
+    nv, gens, d, p = case
+    guard = _guard(nv)
+    row = _Row(gens, nv)
+    q = row.quotients(d)
+    # chunk j is g_j : d, in generator order
+    assert q == int.from_bytes(b"".join(
+        _colon(g, d, guard).to_bytes(nv, "big") for g in gens), "big")
+    quotients = _quotients(gens, d, guard)
+    assert row.split(q) == quotients
+    assert row.has_zero(q) == (0 in quotients)
+    assert row.member(p) == _member(p, gens, guard)
+    # the generation test against minimalize-and-compare
+    direct = MonomialIdeal._from_packed(nv, quotients)
+    ideal = MonomialIdeal._from_packed(nv, gens)
+    for other in (direct, ideal, MonomialIdeal.zero(nv), MonomialIdeal.unit(nv)):
+        assert row.generate(q, other.packed) == (other == direct)
+        assert ideal.row.generate(ideal.row.row, other.packed) == (other == ideal)
+
+
 def test_generates_agrees_with_minimalizing():
     rng = random.Random(_SEED + 9)
     for _ in range(200):
         nv = rng.randint(1, 5)
         a = random_ideal(rng, nv, rng.randint(1, 6))
         d = Monomial(tuple(rng.randint(0, 3) for _ in range(nv)))
-        q = _quotients(a.packed, _pack(d), _guard(nv))
-        direct = MonomialIdeal._from_packed(nv, q)
-        assert _generates(q, direct)
+        q = a.row.quotients(_pack(d))
+        quotients = a.row.split(q)
+        assert quotients == _quotients(a.packed, _pack(d), _guard(nv))
+        direct = MonomialIdeal._from_packed(nv, quotients)
+        assert a.row.generate(q, direct.packed)
         for other in (a, random_ideal(rng, nv, rng.randint(1, 4)), MonomialIdeal.zero(nv)):
-            assert _generates(q, other) == (other == direct)
-        # one minimal generator missing from the set, or one extra non-multiple
-        assert not _generates(q - {direct.packed[0]}, direct)
-        assert _generates(set(), MonomialIdeal.zero(nv))
-        assert _generates({0, *q}, MonomialIdeal.unit(nv))
+            assert a.row.generate(q, other.packed) == (other == direct)
+        # one minimal generator missing from the set, the empty set, the unit added
+        for gens, b, want in (
+            (quotients - {direct.packed[0]}, direct, False),
+            ((), MonomialIdeal.zero(nv), True),
+            ({0, *quotients}, MonomialIdeal.unit(nv), True),
+        ):
+            row = _Row(sorted(gens), nv)
+            assert row.generate(row.row, b.packed) is want
 
 
 def _reference_difference(a, b):
