@@ -10,8 +10,6 @@ from .betti import (
     BettiTable,
     betti_table,
     hochster_betti_table,
-    quotient_regularity,
-    regularity,
     socle_regularity,
 )
 from .errors import GraphFormatError, LimitExceeded, UniverseMismatch
@@ -91,8 +89,6 @@ __all__ = [
     "parse_graph_text",
     "parse_ideal",
     "parse_monomial",
-    "quotient_regularity",
-    "regularity",
     "render_graph_text",
     "run_suite",
     "socle_regularity",

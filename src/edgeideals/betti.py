@@ -316,16 +316,6 @@ def betti_table(
     return BettiTable(a.nvars, field, used_prime, tuple(entries))
 
 
-def regularity(a: MonomialIdeal, **kwargs) -> int:
-    """max over nonzero beta_{i,b} of deg(b) - i."""
-    return betti_table(a, **kwargs).regularity
-
-
-def quotient_regularity(a: MonomialIdeal, **kwargs) -> int:
-    """Regularity of the quotient ring by a, i.e. regularity(a) - 1."""
-    return regularity(a, **kwargs) - 1
-
-
 def hochster_betti_table(
     a: MonomialIdeal,
     field: str = "rational",

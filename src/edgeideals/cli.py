@@ -13,10 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .betti import betti_table
+from .betti import DEFAULT_MAX_GENERATORS, betti_table
 from .errors import GraphFormatError, LimitExceeded
-from .graphs import parse_graph_text
-from .homology import is_prime
+from .graphs import DEFAULT_MAX_VERTICES, parse_graph_text
+from .homology import DEFAULT_PRIME, is_prime
 from .monomials import alpha_degree
 from .reports import FORMATS, SUITE_NAMES, RunConfig, emit_report, exit_code
 from .suites import GraphInstance, default_instances, run_suite
@@ -27,7 +27,7 @@ def _parse_field(value: str) -> tuple[str, int]:
     """'rational' or a number p for coefficients mod p (primality is checked
     with the other option values, in _usage_error)."""
     if value == "rational":
-        return ("rational", 32003)
+        return ("rational", DEFAULT_PRIME)
     try:
         return ("prime", int(value))
     except ValueError:
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--s-min", type=int, default=1, metavar="S")
         sp.add_argument("--s-max", type=int, default=3, metavar="S")
         sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        sp.add_argument("--max-vertices", type=int, default=16, metavar="N")
+        sp.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES, metavar="N")
 
     check = sub.add_parser("check", help="run verification suites")
     common(check, files_required=False)
@@ -79,10 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SUITE_NAMES + ("all",),
         help="suite to run (repeatable; default all)",
     )
-    check.add_argument("--field", type=_parse_field, default=("rational", 32003))
+    check.add_argument("--field", type=_parse_field, default=("rational", DEFAULT_PRIME))
     check.add_argument("--seed", type=int, default=2024)
     check.add_argument("--format", choices=FORMATS, default="text")
-    check.add_argument("--max-generators", type=int, default=200, metavar="N")
+    check.add_argument(
+        "--max-generators", type=int, default=DEFAULT_MAX_GENERATORS, metavar="N"
+    )
     check.set_defaults(func=_cmd_check)
 
     sympow = sub.add_parser("sympow", help="print symbolic power generators")
@@ -91,8 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     reg = sub.add_parser("reg", help="print Betti tables and regularity")
     common(reg, files_required=True)
-    reg.add_argument("--field", type=_parse_field, default=("rational", 32003))
-    reg.add_argument("--max-generators", type=int, default=200, metavar="N")
+    reg.add_argument("--field", type=_parse_field, default=("rational", DEFAULT_PRIME))
+    reg.add_argument(
+        "--max-generators", type=int, default=DEFAULT_MAX_GENERATORS, metavar="N"
+    )
     reg.set_defaults(func=_cmd_reg)
 
     inv = sub.add_parser("invariants", help="print alpha sequence and closed forms")
@@ -103,11 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_instance(path: str, max_vertices: int) -> GraphInstance:
-    g, certs = parse_graph_text(Path(path).read_text())
-    if g.vertex_count > max_vertices:
-        raise LimitExceeded(
-            f"{path}: {g.vertex_count} vertices exceed the {max_vertices} cap"
-        )
+    try:
+        g, certs = parse_graph_text(Path(path).read_text(), max_vertices)
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"{path}: {exc}") from None
     return GraphInstance(g, certs, label=Path(path).name)
 
 

@@ -84,7 +84,7 @@ class EdgeOrder:
 
 @dataclass(frozen=True)
 class LeafPeelOrder:
-    """Peeling data: pendant-tree vertices z_1, z_2, ... with their edges.
+    """Peeling data: the pendant-tree vertices z_1, z_2, ... and the edge order.
 
     z_i is a leaf of the graph with z_1..z_{i-1} removed and e_i is its
     unique incident edge there.  The edge order puts e_1 > e_2 > ... on
@@ -94,7 +94,6 @@ class LeafPeelOrder:
 
     order: EdgeOrder
     peeled: tuple[int, ...]
-    peel_edges: tuple[tuple[int, int], ...]
 
     def z_index(self, v: int) -> int:
         """1-based position of v in the peel sequence."""
@@ -139,7 +138,7 @@ def leaf_peel_order(cd: CycleDecomposition) -> LeafPeelOrder:
     rest = [e for e in g.edges if e not in top]
     rest.sort(key=lambda e: tuple(sorted((rank[e[0] - 1], rank[e[1] - 1]))))
     order = EdgeOrder(tuple(peel_edges) + tuple(rest), tuple(rank), "leaf-peel")
-    return LeafPeelOrder(order, tuple(peeled + isolated), tuple(peel_edges))
+    return LeafPeelOrder(order, tuple(peeled + isolated))
 
 
 @dataclass(frozen=True)
@@ -218,13 +217,12 @@ def maximal_expression(
 
 @dataclass(frozen=True)
 class GeneratorOrdering:
-    """Minimal generators of I^s * m^r, greatest first, with expressions."""
+    """Minimal generators of I^s * m^r, greatest first by their maximal expressions."""
 
     s: int
     r: int
     order: EdgeOrder
     generators: tuple[Monomial, ...]
-    expressions: tuple[EdgeFactorization, ...]
 
 
 def generator_ordering(
@@ -240,18 +238,12 @@ def generator_ordering(
         ideal = ideal_product(
             ideal, variable_power_ideal(g.vertex_count, range(g.vertex_count), r)
         )
-    keyed = []
-    for m in ideal.gens:
-        f = maximal_expression(m, g, s, order)
-        keyed.append((expression_key(f, order), m, f))
-    keyed.sort(key=lambda t: t[0], reverse=True)
-    return GeneratorOrdering(
-        s,
-        r,
-        order,
-        tuple(m for _, m, _ in keyed),
-        tuple(f for _, _, f in keyed),
+    generators = sorted(
+        ideal.gens,
+        key=lambda m: expression_key(maximal_expression(m, g, s, order), order),
+        reverse=True,
     )
+    return GeneratorOrdering(s, r, order, tuple(generators))
 
 
 def even_connections(
@@ -311,12 +303,10 @@ def even_connections(
 class EvenColonResult:
     """Colon of consecutive powers rebuilt from walks vs computed directly."""
 
-    built: MonomialIdeal
     direct: MonomialIdeal
     matches: bool
     witness: Monomial | None
     witness_side: str | None
-    pairs: tuple[tuple[int, int], ...]
 
 
 def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult:
@@ -363,14 +353,7 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
     side = None
     if not matches:
         side = "walk-built colon only" if diff[1] == "left" else "direct colon only"
-    return EvenColonResult(
-        built=built,
-        direct=direct,
-        matches=matches,
-        witness=witness,
-        witness_side=side,
-        pairs=tuple(sorted(pairs)),
-    )
+    return EvenColonResult(direct=direct, matches=matches, witness=witness, witness_side=side)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ def random_connected_graph(
         g = random_graph(rng, n, p)
         if not _connected(g):
             continue
-        if bipartite is not None and is_bipartite(g).bipartite != bipartite:
+        if bipartite is not None and is_bipartite(g) != bipartite:
             continue
         return g
     raise RuntimeError(f"no admissible random graph found (n={n}, p={p})")

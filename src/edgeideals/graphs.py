@@ -160,7 +160,7 @@ def neighborhoods(g: Graph, vertices: Iterable[int]) -> frozenset:
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
-    """Bit i (0-based) of masks[v] set when vertex i+1 is adjacent to v+1... indexed 0-based."""
+    """masks[v] has bit u set when vertices u+1 and v+1 are adjacent (u, v 0-based)."""
     masks = [0] * g.vertex_count
     for u, v in g.edges:
         masks[u - 1] |= 1 << (v - 1)
@@ -170,10 +170,9 @@ def _adjacency_masks(g: Graph) -> list[int]:
 
 @dataclass(frozen=True)
 class CoverSet:
-    """All minimal vertex covers, the cover number, and the edgeless flag."""
+    """All minimal vertex covers, shortest first, and the edgeless flag."""
 
     covers: tuple[tuple[int, ...], ...]
-    alpha: int
     edgeless: bool
 
 
@@ -187,7 +186,7 @@ def minimal_vertex_covers(
     _check_bound(g, max_vertices)
     n = g.vertex_count
     if g.is_edgeless():
-        return CoverSet(covers=((),), alpha=0, edgeless=True)
+        return CoverSet(covers=((),), edgeless=True)
     adj = _adjacency_masks(g)
     full = (1 << n) - 1
     mis: list[int] = []
@@ -198,7 +197,7 @@ def minimal_vertex_covers(
             return
         # maximal cliques of the complement graph; pivot keeps the branching small
         pool = p | x
-        pivot = max(_bits(pool), key=lambda v: _popcount(p & ~adj[v] & ~(1 << v)))
+        pivot = max(_bits(pool), key=lambda v: (p & ~adj[v] & ~(1 << v)).bit_count())
         cand = p & (adj[pivot] | (1 << pivot))
         for v in _bits(cand):
             vb = 1 << v
@@ -212,8 +211,7 @@ def minimal_vertex_covers(
         set(tuple(i + 1 for i in _bits(full & ~s)) for s in mis),
         key=lambda c: (len(c), c),
     )
-    alpha = min(len(c) for c in covers)
-    return CoverSet(covers=tuple(covers), alpha=alpha, edgeless=False)
+    return CoverSet(covers=tuple(covers), edgeless=False)
 
 
 def _bits(mask: int):
@@ -221,10 +219,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def induced_matching_number(
@@ -268,48 +262,24 @@ def induced_matching_number(
     return nu, tuple(sorted(tuple(sorted(e)) for e in witness))
 
 
-@dataclass(frozen=True)
-class BipartiteResult:
-    bipartite: bool
-    coloring: dict[int, int] | None
-    odd_cycle: CycleCertificate | None
-
-
-def is_bipartite(g: Graph) -> BipartiteResult:
-    """Two-color by BFS; on failure return an explicit odd cycle witness."""
+def is_bipartite(g: Graph) -> bool:
+    """Whether G has a proper two-colouring: each vertex is coloured when the
+    search first reaches it, and an edge inside one colour refutes it."""
     color: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
     for root in g.vertices:
         if root in color:
             continue
         color[root] = 0
-        parent[root] = None
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in sorted(g.neighbors(v)):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
                 if w not in color:
                     color[w] = 1 - color[v]
-                    parent[w] = v
-                    queue.append(w)
+                    stack.append(w)
                 elif color[w] == color[v]:
-                    cycle = _odd_cycle_from_conflict(parent, v, w)
-                    return BipartiteResult(False, None, CycleCertificate.check(g, cycle))
-    return BipartiteResult(True, color, None)
-
-
-def _odd_cycle_from_conflict(parent, v: int, w: int) -> tuple[int, ...]:
-    anc_v = [v]
-    while parent[anc_v[-1]] is not None:
-        anc_v.append(parent[anc_v[-1]])
-    index_v = {u: i for i, u in enumerate(anc_v)}
-    path_w = [w]
-    while path_w[-1] not in index_v:
-        path_w.append(parent[path_w[-1]])
-    lca = path_w[-1]
-    path_v = anc_v[: index_v[lca] + 1]
-    # v .. lca .. w, closed by the conflict edge (w, v)
-    return tuple(path_v) + tuple(reversed(path_w[:-1]))
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -357,16 +327,11 @@ def odd_cycles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> CycleData:
 class HypothesesReport:
     """Structural facts about (G, C) used by the regularity statements."""
 
-    cycle: CycleCertificate
     n: int
-    neighborhood: tuple[int, ...]  # union of open neighborhoods of V(C)
     dominates_open: bool
-    h_vertices: tuple[int, ...]
-    h_graph: Graph
     h_off_all_cycles: bool
     nu_g: int
     nu_h: int
-    gap: int
     gap_at_least_3: bool
 
 
@@ -389,19 +354,13 @@ def check_hypotheses(
     off = all(not cyc.vertex_on_cycle(v) for v in h_vertices)
     nu_g, _ = induced_matching_number(g, max_vertices)
     nu_h, _ = induced_matching_number(h_graph, max_vertices)
-    gap = nu_g - nu_h
     return HypothesesReport(
-        cycle=c,
         n=c.half_length,
-        neighborhood=tuple(sorted(nbhd)),
         dominates_open=nbhd == all_vs,
-        h_vertices=h_vertices,
-        h_graph=h_graph,
         h_off_all_cycles=off,
         nu_g=nu_g,
         nu_h=nu_h,
-        gap=gap,
-        gap_at_least_3=gap >= 3,
+        gap_at_least_3=nu_g - nu_h >= 3,
     )
 
 
@@ -417,11 +376,15 @@ def dominating_odd_cycles(
     return all(f for _, f in flags) and bool(flags), flags
 
 
-def parse_graph_text(text: str) -> tuple[Graph, tuple[CycleCertificate, ...]]:
+def parse_graph_text(
+    text: str, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> tuple[Graph, tuple[CycleCertificate, ...]]:
     """Parse the graph text format: 'n <count>', 'e <u> <v>', 'c <v1> ... <vk>'.
 
     Blank lines and '#' comments are ignored.  Each 'c' line must be an odd
-    cycle of the graph, all of one length.  Errors carry line numbers.
+    cycle of the graph, all of one length.  Errors carry line numbers.  A
+    count above max_vertices raises LimitExceeded at its line, before any
+    graph is built.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -435,9 +398,13 @@ def parse_graph_text(text: str) -> tuple[Graph, tuple[CycleCertificate, ...]]:
         if tag == "n":
             if n is not None:
                 raise GraphFormatError(lineno, "duplicate n line")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise GraphFormatError(lineno, "expected 'n <count>'")
             n = int(args[0])
+            if n > max_vertices:
+                raise LimitExceeded(
+                    f"line {lineno}: {n} vertices exceed the {max_vertices} cap"
+                )
         elif tag == "e":
             if n is None:
                 raise GraphFormatError(lineno, "edge before n line")

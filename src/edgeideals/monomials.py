@@ -170,17 +170,6 @@ def _colon(p: int, d: int, guard: int) -> int:
     return diff & _spread(diff & guard)
 
 
-def _quotients(gens: Iterable[int], d: int, guard: int) -> set[int]:
-    """The distinct packed g : d over the packed generators g."""
-    shift = _BITS - 1
-    return {  # _colon(g, d, guard), inlined
-        diff & (t - (t >> shift))
-        for g in gens
-        for diff in ((g | guard) - d,)
-        for t in (diff & guard,)
-    }
-
-
 class _Row:
     """Packed generators side by side in one int (a row), the first most significant.
 
@@ -239,7 +228,7 @@ class _Row:
         """The distinct chunks of the row x."""
         nv = self.nvars
         b = x.to_bytes(nv * self.count, "big")
-        return {int.from_bytes(b[i : i + nv], "big") for i in range(0, len(b), nv)}
+        return {int.from_bytes(b[i * nv : i * nv + nv], "big") for i in range(self.count)}
 
 
 def _lcm_row(gens: Sequence[int], nvars: int) -> Callable[[int], Iterator[bytes]]:
@@ -435,11 +424,6 @@ def ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     return all(_member(g, a.packed, guard) for g in b.packed)
 
 
-def ideal_equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    _check_pair(a, b)
-    return a.packed == b.packed
-
-
 def first_difference(a: MonomialIdeal, b: MonomialIdeal):
     """A witness monomial in exactly one of the two ideals, or None if equal.
 
@@ -504,9 +488,8 @@ def ideal_colon(a: MonomialIdeal, d) -> MonomialIdeal:
     if isinstance(d, Monomial):
         if d.nvars != a.nvars:
             raise UniverseMismatch("colon divisor universe differs")
-        return MonomialIdeal._from_packed(
-            a.nvars, _quotients(a.packed, _pack(d), _guard(a.nvars))
-        )
+        row = a.row
+        return MonomialIdeal._from_packed(a.nvars, row.split(row.quotients(_pack(d))))
     if isinstance(d, MonomialIdeal):
         _check_pair(a, d)
         if d.is_zero:

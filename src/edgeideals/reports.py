@@ -14,8 +14,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import CycleCertificate, Graph
-from .homology import check_field
+from .betti import DEFAULT_MAX_GENERATORS
+from .graphs import DEFAULT_MAX_VERTICES, CycleCertificate, Graph
+from .homology import DEFAULT_PRIME, check_field
 
 SUITE_NAMES = (
     "decomposition",
@@ -38,10 +39,10 @@ class RunConfig:
     s_max: int = 3
     suites: tuple[str, ...] = ("all",)
     field: str = "rational"
-    prime: int = 32003
+    prime: int = DEFAULT_PRIME
     seed: int = 2024
-    max_vertices: int = 16
-    max_generators: int = 200
+    max_vertices: int = DEFAULT_MAX_VERTICES
+    max_generators: int = DEFAULT_MAX_GENERATORS
     output_format: str = "text"
 
     def __post_init__(self):

@@ -28,8 +28,8 @@ from .monomials import (
     MonomialIdeal,
     _meet_prime_power,
     alpha_degree,
-    contains,
     first_difference,
+    ideal_contains,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -94,7 +94,6 @@ class CycleDecomposition:
     J: MonomialIdeal
     L: MonomialIdeal
     K: MonomialIdeal
-    cycle_vertices: tuple[int, ...]
     y_vertices: tuple[int, ...]
     z_vertices: tuple[int, ...]
 
@@ -131,7 +130,6 @@ class CycleDecomposition:
             J=MonomialIdeal(nv, mus),
             L=L,
             K=K,
-            cycle_vertices=tuple(cyc_vs),
             y_vertices=tuple(ys),
             z_vertices=tuple(zs),
         )
@@ -158,9 +156,7 @@ class SymbolicDecomposition:
 
     s: int
     k: int
-    terms: tuple[tuple[int, MonomialIdeal], ...]
     total: MonomialIdeal
-    reference: MonomialIdeal
     matches: bool
     witness: Monomial | None
     witness_side: str | None
@@ -171,18 +167,16 @@ def decompose_symbolic(g: Graph, cd: CycleDecomposition, s: int) -> SymbolicDeco
     if cd.graph != g:
         raise ValueError("decomposition belongs to a different graph")
     k, _ = layer_index(s, cd.n)
-    terms = []
-    for i in range(k + 1):
-        term = ideal_product(ideal_power(cd.J, i), ordinary_power(g, s - i * (cd.n + 1)))
-        terms.append((i, term))
-    total = ideal_sum(*[t for _, t in terms])
-    reference = symbolic_power(g, s)
-    diff = first_difference(total, reference)
+    total = ideal_sum(*(
+        ideal_product(ideal_power(cd.J, i), ordinary_power(g, s - i * (cd.n + 1)))
+        for i in range(k + 1)
+    ))
+    diff = first_difference(total, symbolic_power(g, s))
     if diff is None:
-        return SymbolicDecomposition(s, k, tuple(terms), total, reference, True, None, None)
+        return SymbolicDecomposition(s, k, total, True, None, None)
     witness, side = diff
     side_name = "decomposition" if side == "left" else "symbolic_power"
-    return SymbolicDecomposition(s, k, tuple(terms), total, reference, False, witness, side_name)
+    return SymbolicDecomposition(s, k, total, False, witness, side_name)
 
 
 def _muk_terms(g: Graph, cd: CycleDecomposition, s: int) -> list[MonomialIdeal]:
@@ -201,8 +195,6 @@ class M2SIdentities:
 
     s: int
     k: int
-    lhs: MonomialIdeal
-    jm_sum: MonomialIdeal
     jm_ok: bool
     jm_witness: Monomial | None
     muk_sum: MonomialIdeal | None      # None when more than one cycle is designated
@@ -247,8 +239,6 @@ def m2s_identities(g: Graph, cd: CycleDecomposition, s: int) -> M2SIdentities:
     return M2SIdentities(
         s=s,
         k=k,
-        lhs=lhs,
-        jm_sum=jm_sum,
         jm_ok=jm_ok,
         jm_witness=jm_diff[0] if jm_diff else None,
         muk_sum=muk_sum,
@@ -298,11 +288,7 @@ def asymptotic_invariants(g: Graph, cd: CycleDecomposition, s_max: int) -> Asymp
 @dataclass(frozen=True)
 class ContainmentCheck:
     s: int
-    t: int
     contained: bool
-    alpha_symbolic: int
-    alpha_power: int
-    alpha_predicts_noncontainment: bool
     agree: bool
 
 
@@ -315,16 +301,9 @@ def containment_check(g: Graph, s: int, t: int) -> ContainmentCheck:
     """
     sym = symbolic_power(g, s)
     pw = ordinary_power(g, t)
-    contained = all(contains(pw, m) for m in sym.gens)
-    a_s = alpha_degree(sym)
-    a_t = alpha_degree(pw)
-    predicts_non = a_s < a_t
+    contained = ideal_contains(pw, sym)
     return ContainmentCheck(
         s=s,
-        t=t,
         contained=contained,
-        alpha_symbolic=a_s,
-        alpha_power=a_t,
-        alpha_predicts_noncontainment=predicts_non,
-        agree=contained == (not predicts_non),
+        agree=contained == (alpha_degree(sym) >= alpha_degree(pw)),
     )

@@ -33,5 +33,5 @@ def connected_bipartite_graphs(n: int):
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         g = Graph(n, edges)
-        if _connected(g) and is_bipartite(g).bipartite:
+        if _connected(g) and is_bipartite(g):
             yield g

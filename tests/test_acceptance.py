@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from edgeideals.betti import quotient_regularity, regularity, socle_regularity
+from edgeideals.betti import betti_table, socle_regularity
 from edgeideals.evenconnect import (
     colon_via_even_connections,
     leaf_peel_order,
@@ -34,7 +34,10 @@ from edgeideals.graphs import (
     CycleCertificate,
     check_hypotheses,
     induced_matching_number,
+    induced_subgraph,
     is_bipartite,
+    neighborhoods,
+    odd_cycles,
 )
 from edgeideals.monomials import alpha_degree, first_difference
 from edgeideals.symbolic import (
@@ -149,10 +152,9 @@ def test_criterion_05_bipartite_equality_and_witnesses():
     found = 0
     while found < 20:
         g = random_connected_graph(rng, rng.randint(5, 7), 0.5)
-        bip = is_bipartite(g)
-        if bip.bipartite:
+        if is_bipartite(g):
             continue
-        n = bip.odd_cycle.half_length
+        n = odd_cycles(g).odd_cycles[0].half_length  # the shortest odd cycle
         witnessed = any(
             first_difference(symbolic_power(g, s), ordinary_power(g, s)) is not None
             for s in range(2, n + 2)
@@ -189,8 +191,8 @@ def test_criterion_07_regularity_equality():
     smax = 3 if EXTENDED else 2
     for label, g in (("C5", c5), ("three-triangles", bow)):
         for s in range(1, smax + 1):
-            rs = regularity(symbolic_power(g, s))
-            ro = regularity(ordinary_power(g, s))
+            rs = betti_table(symbolic_power(g, s)).regularity
+            ro = betti_table(ordinary_power(g, s)).regularity
             assert rs == ro, (label, s, rs, ro)
     _done(7, f"reg(I^(s)) = reg(I^s), s<={smax}", start)
 
@@ -201,9 +203,10 @@ def test_criterion_08_maintheorem_instance():
     hyp = check_hypotheses(g, cert)
     assert hyp.gap_at_least_3, (hyp.nu_g, hyp.nu_h)
     assert hyp.h_off_all_cycles
-    assert is_bipartite(hyp.h_graph).bipartite  # H is a forest
-    rs = regularity(symbolic_power(g, 2))
-    ro = regularity(ordinary_power(g, 2))
+    h, _ = induced_subgraph(g, set(g.vertices) - neighborhoods(g, cert.vertices))
+    assert is_bipartite(h)  # H is a forest
+    rs = betti_table(symbolic_power(g, 2)).regularity
+    ro = betti_table(ordinary_power(g, 2)).regularity
     assert rs == ro, (rs, ro)
     _done(8, "nu-gap instance: hypotheses + reg equality at s=2", start)
 
@@ -217,7 +220,7 @@ def test_criterion_09_forest_regularity_oracle():
         if f.is_edgeless():
             continue
         nu, _ = induced_matching_number(f)
-        assert quotient_regularity(edge_ideal(f)) == nu, f.edges
+        assert betti_table(edge_ideal(f)).regularity - 1 == nu, f.edges
         done += 1
     _done(9, "forest quotient regularity equals nu, 50 samples", start)
 
@@ -230,7 +233,7 @@ def test_criterion_10_regularity_lower_bound():
     for label, g in (("C5", c5), ("three-triangles", bow)):
         nu, _ = induced_matching_number(g)
         for s in range(1, smax + 1):
-            qreg = quotient_regularity(symbolic_power(g, s))
+            qreg = betti_table(symbolic_power(g, s)).regularity - 1
             assert qreg >= 2 * s + nu - 2, (label, s, qreg)
     _done(10, "lower bound 2s+nu-2 on symbolic quotient reg", start)
 

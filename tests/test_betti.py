@@ -12,8 +12,6 @@ from edgeideals.betti import (
     betti_table,
     hochster_betti_table,
     lcm_closure,
-    quotient_regularity,
-    regularity,
     socle_regularity,
 )
 from edgeideals.errors import LimitExceeded
@@ -156,14 +154,14 @@ def test_betti_rows_zero_iff_minimal_generator():
 
 
 def test_regularity_frozen_values():
-    assert regularity(parse_ideal("x1*x2", 4)) == 2
-    assert regularity(parse_ideal("x1^2*x2^3", 2)) == 5
-    assert regularity(parse_ideal("x1^2, x1*x2, x2^2", 2)) == 2
+    assert betti_table(parse_ideal("x1*x2", 4)).regularity == 2
+    assert betti_table(parse_ideal("x1^2*x2^3", 2)).regularity == 5
+    assert betti_table(parse_ideal("x1^2, x1*x2, x2^2", 2)).regularity == 2
     for t in range(1, 5):
-        assert regularity(variable_power_ideal(3, range(3), t)) == t
-    assert regularity(edge_ideal(cycle_graph(5))) == 3
-    assert regularity(edge_ideal(cycle_graph(7))) == 3
-    assert quotient_regularity(edge_ideal(cycle_graph(5))) == 2
+        assert betti_table(variable_power_ideal(3, range(3), t)).regularity == t
+    assert betti_table(edge_ideal(cycle_graph(5))).regularity == 3
+    assert betti_table(edge_ideal(cycle_graph(7))).regularity == 3
+    assert betti_table(edge_ideal(cycle_graph(5))).regularity - 1 == 2
 
 
 def test_linear_resolution_powers():
@@ -172,8 +170,8 @@ def test_linear_resolution_powers():
     for g in (complete_graph(3), complete_graph(4), three_triangles()[0]):
         ideal = edge_ideal(g)
         for s in (1, 2):
-            assert regularity(ordinary_power(g, s)) == 2 * s, render_graph_text(g)
-    assert regularity(ordinary_power(complete_graph(3), 3)) == 6
+            assert betti_table(ordinary_power(g, s)).regularity == 2 * s, render_graph_text(g)
+    assert betti_table(ordinary_power(complete_graph(3), 3)).regularity == 6
 
 
 def test_forest_quotient_regularity_is_induced_matching_number():
@@ -184,7 +182,7 @@ def test_forest_quotient_regularity_is_induced_matching_number():
         if not g.edges:
             continue
         nu, _ = induced_matching_number(g)
-        assert quotient_regularity(edge_ideal(g)) == nu, render_graph_text(g)
+        assert betti_table(edge_ideal(g)).regularity - 1 == nu, render_graph_text(g)
 
 
 def _random_squarefree_ideal(rng: random.Random) -> MonomialIdeal:
@@ -531,7 +529,7 @@ def test_regularity_at_least_alpha():
     for _ in range(8):
         g = random_connected_graph(rng, rng.randint(3, 6), 0.5)
         a = symbolic_power(g, rng.randint(1, 2))
-        assert regularity(a) >= alpha_degree(a)
+        assert betti_table(a).regularity >= alpha_degree(a)
 
 
 def test_unit_ideal_table():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from edgeideals import graphs
 from edgeideals.cli import main
 from edgeideals.graphs import parse_graph_text
 
@@ -65,6 +66,29 @@ def test_parse_rejects_duplicate_edge(tmp_path, capsys):
     p.write_text("n 3\ne 1 2\ne 2 1\n")
     assert main(["sympow", str(p)]) == 2
     assert "duplicate edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check", "sympow"])
+def test_non_ascii_vertex_count_exits_2(tmp_path, capsys, verb):
+    # '²' passes str.isdigit() but int() refuses it
+    p = tmp_path / "sup.graph"
+    p.write_text("n \u00b2\ne 1 2\n", encoding="utf-8")
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: expected 'n <count>'\n"
+
+
+def test_vertex_cap_is_checked_before_any_graph_is_built(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(graphs, "Graph", lambda *args: built.append(args))
+    p = tmp_path / "huge.graph"
+    p.write_text("n 2000000\ne 1 2\n")
+    assert main(["sympow", str(p)]) == 2
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"error: {p}: line 1: 2000000 vertices exceed the 16 cap\n"
+    )
 
 
 @pytest.mark.parametrize("verb", ["check", "invariants"])

@@ -96,7 +96,7 @@ def test_cycle_certificate_validation():
 
 def test_minimal_covers_frozen_values():
     cov = minimal_vertex_covers(cycle_graph(5))
-    assert cov.alpha == 3 and not cov.edgeless
+    assert not cov.edgeless
     assert cov.covers == (
         (1, 2, 4),
         (1, 3, 4),
@@ -105,9 +105,9 @@ def test_minimal_covers_frozen_values():
         (2, 4, 5),
     )
     edge = minimal_vertex_covers(Graph(2, [(1, 2)]))
-    assert edge.covers == ((1,), (2,)) and edge.alpha == 1
+    assert edge.covers == ((1,), (2,))
     lonely = minimal_vertex_covers(Graph(3, []))
-    assert lonely.edgeless and lonely.covers == ((),) and lonely.alpha == 0
+    assert lonely.edgeless and lonely.covers == ((),)
 
 
 def test_minimal_covers_against_brute_force():
@@ -117,8 +117,8 @@ def test_minimal_covers_against_brute_force():
     for g in graphs:
         cov = minimal_vertex_covers(g)
         assert set(cov.covers) == brute_minimal_covers(g)
-        if not g.is_edgeless():
-            assert cov.alpha == min(len(c) for c in cov.covers)
+        # shortest first
+        assert [len(c) for c in cov.covers] == sorted(len(c) for c in cov.covers)
 
 
 def test_cover_bound_refusal():
@@ -145,21 +145,13 @@ def test_induced_matching_frozen_and_oracle():
 
 
 def test_bipartite_and_odd_cycle_witness():
-    assert is_bipartite(cycle_graph(6)).bipartite
-    assert is_bipartite(path_graph(7)).bipartite
-    res = is_bipartite(cycle_graph(7))
-    assert not res.bipartite and res.odd_cycle.length % 2 == 1
+    assert is_bipartite(cycle_graph(6))
+    assert is_bipartite(path_graph(7))
+    assert not is_bipartite(cycle_graph(7))
     rng = random.Random(_SEED + 2)
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 9), 0.35)
-        res = is_bipartite(g)
-        has_odd = bool(odd_cycles(g).odd_cycles)
-        assert res.bipartite == (not has_odd)
-        if res.bipartite:
-            col = res.coloring
-            assert all(col[u] != col[v] for u, v in g.edges)
-        else:
-            CycleCertificate.check(g, res.odd_cycle.vertices)  # validates
+        assert is_bipartite(g) == (not odd_cycles(g).odd_cycles)
 
 
 def test_odd_cycle_enumeration():
@@ -197,8 +189,6 @@ def test_check_hypotheses_gap_instances():
     rep = check_hypotheses(g, cert)
     assert rep.n == 2
     assert not rep.dominates_open
-    assert rep.h_vertices == (7, 9)
-    assert rep.h_graph.is_edgeless()
     assert rep.h_off_all_cycles
     assert rep.nu_g == 3 and rep.nu_h == 0 and rep.gap_at_least_3
 
@@ -211,7 +201,7 @@ def test_check_hypotheses_gap_instances():
     c5 = cycle_graph(5)
     rep5 = check_hypotheses(c5, CycleCertificate.check(c5, (1, 2, 3, 4, 5)))
     assert rep5.dominates_open
-    assert rep5.h_vertices == () and rep5.nu_h == 0 and rep5.gap == 1
+    assert rep5.nu_h == 0 and rep5.nu_g - rep5.nu_h == 1
     assert not rep5.gap_at_least_3
 
 
@@ -265,6 +255,6 @@ def test_parse_graph_text_roundtrip_and_errors():
 def test_random_connected_helpers():
     rng = random.Random(_SEED + 4)
     g = random_connected_graph(rng, 6, 0.4, bipartite=False)
-    assert not is_bipartite(g).bipartite
+    assert not is_bipartite(g)
     h = random_connected_graph(rng, 6, 0.4, bipartite=True)
-    assert is_bipartite(h).bipartite
+    assert is_bipartite(h)

@@ -19,10 +19,11 @@ from edgeideals.graphs import CycleCertificate, Graph, minimal_vertex_covers
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    alpha_degree,
     contains,
-    ideal_equal,
     ideal_intersection,
     ideal_power,
+    intersect_with_m_power,
     monomials_of_degree,
     parse_ideal,
     parse_monomial,
@@ -86,7 +87,7 @@ def test_symbolic_power_small_cases():
         ", ".join([m.render() for m in ordinary_power(g, 3).gens] + ["x1*x2*x3*x4*x5"]),
         5,
     )
-    assert ideal_equal(third, expected)
+    assert third == expected
     with pytest.raises(ValueError):
         symbolic_power(g, 0)
     assert symbolic_power(Graph(4, []), 2).is_zero
@@ -146,7 +147,7 @@ def test_bipartite_powers_coincide():
     seen = 0
     for g in connected_bipartite_graphs(5):
         for s in (2, 3):
-            assert ideal_equal(symbolic_power(g, s), ordinary_power(g, s))
+            assert symbolic_power(g, s) == ordinary_power(g, s)
         seen += 1
     assert seen > 5
 
@@ -155,7 +156,6 @@ def test_cycle_decomposition_classification():
     g, cert = cycle_with_paths(5, [(1, 2)])
     cd = CycleDecomposition.from_graph(g, [cert])
     assert cd.n == 2 and cd.single_cycle
-    assert cd.cycle_vertices == (1, 2, 3, 4, 5)
     assert cd.y_vertices == (6,) and cd.z_vertices == (7,)
     assert cd.mu.render() == "x1*x2*x3*x4*x5"
     assert cd.K.render() == "(x7)"
@@ -211,10 +211,7 @@ def test_decomposition_matches_symbolic(make, s_values):
         assert got.k == s // (cd.n + 1)
         assert got.matches, (s, got.witness, got.witness_side)
         assert got.witness is None
-        assert ideal_equal(got.total, symbolic_power(g, s))
-        # layer 0 is always the plain power, present in the term list
-        assert got.terms[0][0] == 0
-        assert ideal_equal(got.terms[0][1], ordinary_power(g, s))
+        assert got.total == symbolic_power(g, s)
 
 
 def test_m2s_identities_cycle():
@@ -226,7 +223,7 @@ def test_m2s_identities_cycle():
         assert rep.muk_ok and rep.muk_witness is None
         assert rep.all_odd_cycles_dominating
         assert rep.power_ok and rep.power_witness is None
-        assert ideal_equal(rep.lhs, ordinary_power(g, s))
+        assert intersect_with_m_power(symbolic_power(g, s), 2 * s) == ordinary_power(g, s)
 
 
 def test_m2s_identities_with_pendant_path():
@@ -236,9 +233,9 @@ def test_m2s_identities_with_pendant_path():
     assert rep.jm_ok and rep.muk_ok
     assert not rep.all_odd_cycles_dominating
     assert rep.power_ok is None and rep.power_witness is None
-    # here the lhs strictly contains I^3: mu*x7 is new
+    # here I^(3) cap m^6 strictly contains I^3: mu*x7 is new
     extra = parse_monomial("x1*x2*x3*x4*x5*x7", 7)
-    assert contains(rep.lhs, extra)
+    assert contains(intersect_with_m_power(symbolic_power(g, 3), 6), extra)
     assert not contains(ordinary_power(g, 3), extra)
 
 
@@ -280,6 +277,8 @@ def test_containment_grid():
     for s, t in itertools.product(range(1, 5), range(1, 4)):
         chk = containment_check(g, s, t)
         assert chk.agree, (s, t)
-        assert chk.contained == (chk.alpha_symbolic >= chk.alpha_power)
+        assert chk.contained == (
+            alpha_degree(symbolic_power(g, s)) >= alpha_degree(ordinary_power(g, t))
+        )
     assert containment_check(g, 3, 2).contained
     assert not containment_check(g, 3, 3).contained
