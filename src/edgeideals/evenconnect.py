@@ -9,13 +9,24 @@ from the even-connected vertex pairs of its factorizations and compared
 against the directly computed colon.  Everything here is exhaustive search
 over desk-scale instances.  The checks return data (`LemmaResult`,
 `EvenColonResult`); the suites turn it into report rows.
+
+The even-connected pairs of a generator u come from one dynamic program
+over all of u's factorizations at once (`even_connections`).  Its states
+are the used sub-multisets U: the factorization edges a walk has taken so
+far, at most their multiplicity in one factorization.  Each state holds,
+per edge endpoint, the bitmask of start vertices with a walk that ends
+there and uses exactly U, so every start is followed at once.
+`max_states` caps the number of such sub-multisets, the empty one
+included, and the search raises `LimitExceeded` past it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
+from typing import Sequence
 
 from .errors import LimitExceeded
 from .graphs import Graph
@@ -152,23 +163,19 @@ class EdgeFactorization:
         return dict(Counter(self.edges))
 
 
-def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactorization]:
-    """All multisets of s edges whose product divides m, remainder recorded.
-
-    Empty exactly when m is outside the s-th power of the edge ideal.
-    When deg(m) = 2s the remainder is forced to 1 and the product is m.
-    """
+def _factorizations(m: Monomial, g: Graph, s: int) -> list[tuple[tuple[int, int], ...]]:
+    """All multisets of s edges whose product divides m, as sorted edge tuples."""
     if s < 0:
         raise ValueError("negative power")
     if m.nvars != g.vertex_count:
         raise ValueError("monomial universe does not match the graph")
     edges = g.edges
-    out: list[EdgeFactorization] = []
+    out: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
 
     def rec(start: int, left: list[int], k: int) -> None:
         if k == 0:
-            out.append(EdgeFactorization(tuple(chosen), Monomial(left)))
+            out.append(tuple(chosen))
             return
         if sum(left) < 2 * k:
             return
@@ -184,6 +191,22 @@ def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactoriz
                 left[v - 1] += 1
 
     rec(0, list(m), s)
+    return out
+
+
+def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactorization]:
+    """All multisets of s edges whose product divides m, remainder recorded.
+
+    Empty exactly when m is outside the s-th power of the edge ideal.
+    When deg(m) = 2s the remainder is forced to 1 and the product is m.
+    """
+    out = []
+    for edges in _factorizations(m, g, s):
+        left = list(m)
+        for u, v in edges:
+            left[u - 1] -= 1
+            left[v - 1] -= 1
+        out.append(EdgeFactorization(edges, Monomial(left)))
     return out
 
 
@@ -247,56 +270,92 @@ def generator_ordering(
 
 
 def even_connections(
-    f: EdgeFactorization, g: Graph, max_states: int = DEFAULT_MAX_STATES
+    factorizations: Sequence[tuple[tuple[int, int], ...]],
+    g: Graph,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[tuple[int, int], ...]:
-    """All vertex pairs joined by some walk through the factorization, sorted.
+    """All vertex pairs joined by a walk through some factorization, sorted.
 
     A walk p_0, ..., p_(2k+1) with k >= 1 takes graph edges at even steps
     (p_0 p_1, p_2 p_3, ...) and factorization edges at odd steps, each at
-    most its multiplicity; vertices may repeat.  Pairs are unordered (min
-    endpoint first) and include x = x via closed walks.  From each start x
-    a depth-first search runs over (vertex, remaining usage) states, the
-    usage packed one byte per distinct factorization edge; x pairs with
-    every neighbor of a vertex reached after at least one factorization step.
+    most its multiplicity in one of `factorizations` (tuples of edges);
+    vertices may repeat.  Pairs are unordered (min endpoint first) and
+    include x = x via closed walks.  Several factorizations give the union
+    of their pairs.
+
+    One dynamic program runs over the used sub-multisets U (the edges a walk
+    has taken so far, packed one byte per distinct edge).  Packed, U - e is
+    below U, so the states are taken in ascending order.  `at[U][v]` is the
+    bitmask of start vertices with a walk that ends at the edge endpoint v
+    and uses exactly U; it comes from U - e, for each distinct e in U, by
+    one graph step into an endpoint of e and one step along e.  x pairs
+    with y when x is in `at[U][v]` for some non-empty U and y is a neighbor
+    of v.  `max_states` caps the number of distinct used sub-multisets, the
+    empty one included.
     """
-    distinct = sorted(set(f.edges))
-    counts = Counter(f.edges)
-    full = sum(counts[e] << _BITS * i for i, e in enumerate(distinct))
-    # steps[b]: (other endpoint, unit, byte mask) of each factorization edge at b
-    steps: dict[int, list[tuple[int, int, int]]] = {}
-    for i, (u, v) in enumerate(distinct):
-        unit, mask = 1 << _BITS * i, 0xFF << _BITS * i
-        steps.setdefault(u, []).append((v, unit, mask))
-        steps.setdefault(v, []).append((u, unit, mask))
-    moves = {
-        a: [step for b in g.neighbors(a) for step in steps.get(b, ())]
-        for a in g.vertices
-    }
-    pairs: set[tuple[int, int]] = set()
-    for x in g.vertices:
-        if g.degree(x) == 0:
-            continue
-        seen = {(x, full)}
-        stack = [(x, full)]
-        reached: set[int] = set()
-        while stack:
-            a, usage = stack.pop()
-            if usage != full:
-                reached.add(a)
-            for other, unit, mask in moves[a]:
-                if usage & mask:
-                    nxt = (other, usage - unit)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        if len(seen) > max_states:
-                            raise LimitExceeded(
-                                f"even-connection search exceeds {max_states} states"
-                            )
-                        stack.append(nxt)
-        for a in reached:
-            for b in g.neighbors(a):
-                pairs.add((min(x, b), max(x, b)))
-    return tuple(sorted(pairs))
+    units: dict[tuple[int, int], int] = {}
+    states = {0}
+    for f in factorizations:
+        subs = {0}
+        for e in f:
+            if e not in units:
+                units[e] = 1 << _BITS * len(units)
+            unit = units[e]
+            subs |= {x + unit for x in subs}
+        states |= subs
+        if len(states) > max_states:
+            raise LimitExceeded(f"even-connection search exceeds {max_states} states")
+    # the edge endpoints v by position: the bitmasks of their neighbors, and
+    # the positions of their neighbors among them
+    ends = sorted({v for e in units for v in e})
+    index = {v: i for i, v in enumerate(ends)}
+    masks, near = [], []
+    for b in ends:
+        mask, close = 0, []
+        for w in g.neighbors(b):
+            mask |= 1 << w
+            if w in index:
+                close.append(index[w])
+        masks.append(mask)
+        near.append(close)
+    steps = [(unit, unit * 0xFF, index[p], index[q]) for (p, q), unit in units.items()]
+    # at[U][i]: the bitmask of the docstring, for the endpoint at position i;
+    # into[U][i]: starts of a walk that uses exactly U and then steps into
+    # endpoint i, built from at[U] on first use (so never for a maximal U)
+    into = {0: masks}
+    at: dict[int, list[int]] = {}
+    for used in sorted(states)[1:]:
+        here = [0] * len(ends)
+        for unit, byte, i, j in steps:
+            if used & byte:
+                before = used - unit
+                prev = into.get(before)
+                if prev is None:
+                    last, prev = at[before], []
+                    for close in near:
+                        starts = 0
+                        for k in close:
+                            starts |= last[k]
+                        prev.append(starts)
+                    into[before] = prev
+                here[j] |= prev[i]
+                here[i] |= prev[j]
+        at[used] = here
+    hit = [reduce(or_, column) for column in zip(*at.values())]
+    link = [0] * (g.vertex_count + 1)
+    for v, starts in zip(ends, hit):
+        if starts:
+            for y in g.neighbors(v):
+                link[y] |= starts
+    # a walk read backwards is a walk, so link is symmetric
+    pairs = []
+    for a in g.vertices:
+        rest = link[a] >> a << a
+        while rest:
+            low = rest & -rest
+            pairs.append((a, low.bit_length() - 1))
+            rest ^= low
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -312,14 +371,14 @@ class EvenColonResult:
 def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult:
     """I^s : u for u a generator of I^{s-1}, via even connections.
 
-    Builds I + (x_a x_b over even-connected pairs, x = y allowed) over every
-    factorization of u and compares it with the direct colon, generated by
-    the quotients g : u over the generators g of I^s.  The quotients come as
-    one row from the row of I^s, and equality is decided on that row
-    (`_Row.generate`): one pass per walk-built generator finds it among the
-    quotients and marks the quotients it divides.  Only when they generate
-    another ideal is the row split, the direct colon minimalized and a
-    witness sought.
+    Builds I + (x_a x_b over even-connected pairs, x = y allowed), the pairs
+    found by one `even_connections` call over every factorization of u, and
+    compares it with the direct colon, generated by the quotients g : u
+    over the generators g of I^s.  The quotients come as one row from the
+    row of I^s, and equality is decided on that row (`_Row.generate`): one
+    pass per walk-built generator finds it among the quotients and marks
+    the quotients it divides.  Only when they generate another ideal is the
+    row split, the direct colon minimalized and a witness sought.
     """
     if s < 2:
         raise ValueError("the colon comparison needs s >= 2")
@@ -327,15 +386,13 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
         raise ValueError(
             f"{u.render()} has degree {u.degree()}, expected {2 * (s - 1)}"
         )
-    facs = enumerate_factorizations(u, g, s - 1)
+    facs = _factorizations(u, g, s - 1)
     if not facs:
         raise ValueError(
             f"{u.render()} is not in I^{s - 1} for the edge ideal I"
         )
     nv = g.vertex_count
-    pairs: set[tuple[int, int]] = set()
-    for f in facs:
-        pairs.update(even_connections(f, g))
+    pairs = even_connections(facs, g)
     built = MonomialIdeal._from_packed(
         nv,
         {(1 << _BITS * (nv - a)) + (1 << _BITS * (nv - b)) for a, b in pairs}
@@ -428,8 +485,8 @@ def verify_leaf_lemma(g: Graph, lp: LeafPeelOrder, s: int) -> LemmaResult:
     for t, ut in enumerate(us):
         seen_pairs: set[tuple[int, int]] = set()
         earlier = None  # the colons u_p : u_t for p < t, built on first use
-        for f in enumerate_factorizations(ut, g, s):
-            for a, b in even_connections(f, g):
+        for f in _factorizations(ut, g, s):
+            for a, b in even_connections((f,), g):
                 if a == b or a not in zset or b not in zset:
                     continue
                 if g.has_edge(a, b):

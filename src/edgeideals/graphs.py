@@ -388,6 +388,7 @@ def parse_graph_text(
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     cycle_lines: list[tuple[int, tuple[int, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -419,8 +420,9 @@ def parse_graph_text(
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(lineno, f"edge ({u},{v}) outside 1..{n}")
             key = (min(u, v), max(u, v))
-            if key in set(edges):
+            if key in seen:
                 raise GraphFormatError(lineno, f"duplicate edge ({key[0]},{key[1]})")
+            seen.add(key)
             edges.append(key)
         elif tag == "c":
             if n is None:

@@ -269,8 +269,18 @@ def test_large_prime_field_accepted(c5_file, capsys):
             ["--field", "32003", "--suite", "regularity"],
             "9758e786d34b5e237d513cebd7b5bf082c8d1e3eef09cdd36428aabe58da0aea",
         ),
+        # another seed for the two seeded sweeps
+        (
+            ["--seed", "7"],
+            "f6e96be00ea93ebd7560d573aa68d05a0f12a018d2637264d1ca0e3a0c4626e3",
+        ),
+        # the colon rows up to s = 4
+        (
+            ["--suite", "banerjee", "--s-max", "4"],
+            "4aa159eabf4dfd752483b75d263241ec9d513e9e0faeed1c0c6eb12c63b0b87d",
+        ),
     ],
-    ids=["regularity", "all-suites", "default", "regularity-prime"],
+    ids=["regularity", "all-suites", "default", "regularity-prime", "seed-7", "banerjee-s4"],
 )
 def test_regularity_suite_report_bytes_pinned(tmp_path, suite_args, want):
     # sha256 of these reports; the bytes may only change on purpose.

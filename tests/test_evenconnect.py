@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 import re
 from collections import Counter
@@ -48,6 +49,7 @@ from edgeideals.symbolic import CycleDecomposition, edge_ideal, ordinary_power
 from graph_helpers import path_graph
 
 _SEED = 52061
+EXTENDED = bool(os.environ.get("EDGEIDEALS_EXTENDED"))
 
 
 def _mono(text: str, nv: int) -> Monomial:
@@ -144,7 +146,7 @@ def test_generator_ordering_total_and_consistent():
 def test_even_connections_single_edge_cycle():
     c5 = cycle_graph(5)
     f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
-    pairs = even_connections(f, c5)
+    pairs = even_connections([f.edges], c5)
     assert pairs == ((1, 2), (1, 5), (2, 3), (3, 5))
     # (3,5) through the walk 3-2-1-5
     assert _walk_pairs(f, c5) == list(pairs)
@@ -154,14 +156,14 @@ def test_even_connections_self_pair():
     c5 = cycle_graph(5)
     u = _mono("x1*x2*x3*x4", 5)
     f = enumerate_factorizations(u, c5, 2)[0]
-    assert (5, 5) in even_connections(f, c5)  # 5-1-2-3-4-5
+    assert (5, 5) in even_connections([f.edges], c5)  # 5-1-2-3-4-5
 
 
 def test_even_connections_isolated_edge():
     g = Graph(4, [(1, 2), (3, 4)])
     f = enumerate_factorizations(_mono("x1*x2", 4), g, 1)[0]
     # only the bounce along the edge itself; nothing new for the colon
-    assert even_connections(f, g) == ((1, 2),)
+    assert even_connections([f.edges], g) == ((1, 2),)
 
 
 def _walk_pairs(f, g: Graph, reuse: bool = False, max_steps: int = 0) -> list:
@@ -214,10 +216,49 @@ def test_even_connections_match_brute_force_walks():
             gens += [_edge_power(e, k, g.vertex_count) for k in (2, 3) if k <= s - 1]
             for u in gens:
                 for f in enumerate_factorizations(u, g, s - 1):
-                    got = even_connections(f, g)
+                    got = even_connections([f.edges], g)
                     assert list(got) == _walk_pairs(f, g), (g.edges, f.edges)
                     compared += 1
     assert compared > 500
+
+
+def test_even_connections_of_all_factorizations_match_brute_force():
+    # one call on every factorization of u gives the union of their walk pairs
+    rng = random.Random(_SEED + 3)
+    compared, several, repeated = 0, 0, 0
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randint(4, 6), 0.7)
+        nv = g.vertex_count
+        for s in (2, 3, 4, 5):
+            gens = list(ordinary_power(g, s - 1).gens)
+            gens = rng.sample(gens, min(len(gens), 12))
+            for k in (2, 3):  # e^k times s - 1 - k random edges
+                if k <= s - 1:
+                    exps = list(_edge_power(rng.choice(g.edges), k, nv))
+                    for a, b in rng.choices(g.edges, k=s - 1 - k):
+                        exps[a - 1] += 1
+                        exps[b - 1] += 1
+                    gens.append(Monomial(exps))
+            for u in gens:
+                fs = enumerate_factorizations(u, g, s - 1)
+                facs = [f.edges for f in fs]
+                want = sorted({p for f in fs for p in _walk_pairs(f, g)})
+                assert list(even_connections(facs, g)) == want, (g.edges, u.render())
+                compared += 1
+                several += len(facs) > 1
+                repeated += any(k > 1 for k in Counter(facs[0]).values())
+    assert compared > 300 and several > 30 and repeated > 150, (compared, several, repeated)
+
+    # x2*x3*x5*x6 factors as (2,3)(5,6) and as (2,6)(3,5); the closed walk
+    # 1-2-3-6-2-1 takes (2,3) from one and (2,6) from the other, so no
+    # single factorization even-connects x1 to itself
+    g = Graph(7, [(1, 2), (1, 4), (1, 7), (2, 3), (2, 6), (3, 4), (3, 5), (3, 6),
+                  (4, 5), (4, 7), (5, 6), (6, 7)])
+    fs = enumerate_factorizations(_mono("x2*x3*x5*x6", 7), g, 2)
+    assert [f.edges for f in fs] == [((2, 3), (5, 6)), ((2, 6), (3, 5))]
+    pairs = even_connections([f.edges for f in fs], g)
+    assert (1, 1) not in pairs
+    assert list(pairs) == sorted({p for f in fs for p in _walk_pairs(f, g)})
 
 
 def _edge_power(e, k: int, nv: int) -> Monomial:
@@ -232,7 +273,7 @@ def test_even_connections_respect_edge_multiplicity():
     g = Graph(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
     f = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), g, 2)
     f = next(h for h in f if h.edges == ((1, 2), (3, 4)))
-    pairs = even_connections(f, g)
+    pairs = even_connections([f.edges], g)
     assert (5, 5) not in pairs
     assert list(pairs) == _walk_pairs(f, g)
     assert (5, 5) in _walk_pairs(f, g, reuse=True, max_steps=3)
@@ -242,9 +283,20 @@ def test_even_connections_state_cap():
     c5 = cycle_graph(5)
     f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
     with pytest.raises(LimitExceeded, match="^even-connection search exceeds 1 states$"):
-        even_connections(f, c5, max_states=1)
-    # the count is per start vertex and includes the start state: two suffice here
-    assert even_connections(f, c5, max_states=2) == even_connections(f, c5)
+        even_connections([f.edges], c5, max_states=1)
+    # the count is of used sub-multisets, the empty one included: two suffice here
+    assert even_connections([f.edges], c5, max_states=2) == even_connections([f.edges], c5)
+    # e^2 has three: {}, {e} and {e, e}
+    square = [((1, 2), (1, 2))]
+    with pytest.raises(LimitExceeded, match="^even-connection search exceeds 2 states$"):
+        even_connections(square, c5, max_states=2)
+    assert even_connections(square, c5, max_states=3) == even_connections(square, c5)
+    # factorizations that share sub-multisets count them once:
+    # {}, {a}, {b}, {c}, {a, b}, {a, c}
+    shared = [((1, 2), (3, 4)), ((1, 2), (4, 5))]
+    with pytest.raises(LimitExceeded, match="^even-connection search exceeds 5 states$"):
+        even_connections(shared, c5, max_states=5)
+    assert even_connections(shared, c5, max_states=6) == even_connections(shared, c5)
 
 
 def test_colon_via_even_connections_cycle():
@@ -287,12 +339,15 @@ def test_walk_built_colon_matches_monomial_sum():
 
 
 def _walk_built_colon(g, u, s):
-    """I plus x_a x_b over the pairs that `even_connections` returns for some
-    factorization of u."""
+    """I plus x_a x_b over the pairs that `even_connections` returns for
+    the factorizations of u."""
+    facs = [f.edges for f in enumerate_factorizations(u, g, s - 1)]
+    return _pair_colon(g, evenconnect.even_connections(facs, g))
+
+
+def _pair_colon(g, pairs):
+    """I plus x_a x_b over the given vertex pairs."""
     nv = g.vertex_count
-    pairs = set()
-    for f in enumerate_factorizations(u, g, s - 1):
-        pairs.update(evenconnect.even_connections(f, g))
     extra = []
     for a, b in pairs:
         exps = [0] * nv
@@ -300,6 +355,24 @@ def _walk_built_colon(g, u, s):
         exps[b - 1] += 1
         extra.append(Monomial(exps))
     return ideal_sum(edge_ideal(g), MonomialIdeal(nv, extra))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set EDGEIDEALS_EXTENDED=1 for the s <= 5 sweep")
+def test_colons_match_brute_force_walks_up_to_s5():
+    # the colon rebuilt from brute-force walks equals the direct colon and
+    # colon_via_even_connections' result, on seeded connected graphs
+    rng = random.Random(_SEED + 4)
+    compared = 0
+    for n in (4, 5, 5, 6, 6, 7, 7):
+        g = random_connected_graph(rng, n, 0.5)
+        for s in (2, 3, 4, 5):
+            for u in ordinary_power(g, s - 1).gens:
+                res = colon_via_even_connections(g, u, s)
+                walks = {p for f in enumerate_factorizations(u, g, s - 1) for p in _walk_pairs(f, g)}
+                assert res.matches, (g.edges, s, u.render())
+                assert res.direct == _pair_colon(g, walks), (g.edges, s, u.render())
+                compared += 1
+    assert compared > 3000, compared
 
 
 def _reference_colon_result(g, u, s):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -250,6 +251,22 @@ def test_parse_graph_text_roundtrip_and_errors():
         with pytest.raises(GraphFormatError) as exc:
             parse_graph_text(bad)
         assert str(exc.value) == message
+
+
+def test_parse_graph_text_finds_a_late_duplicate_in_a_long_file():
+    # 20,000 edges on 3,000 vertices, then the first edge again, reversed;
+    # a duplicate check that rebuilt a set per line took over 10 s here
+    n, count = 3000, 20000
+    edges = [(a, b) for a in range(1, 8) for b in range(a + 1, n + 1)][:count]
+    text = f"n {n}\n" + "".join(f"e {a} {b}\n" for a, b in edges)
+    start = time.perf_counter()
+    g, _ = parse_graph_text(text, max_vertices=n)
+    assert g.edge_count == count
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph_text(text + "e 2 1\n", max_vertices=n)
+    assert exc.value.line_number == count + 2
+    assert str(exc.value) == f"line {count + 2}: duplicate edge (1,2)"
+    assert time.perf_counter() - start < 5
 
 
 def test_random_connected_helpers():
