@@ -11,21 +11,24 @@ over desk-scale instances.  The checks return data (`LemmaResult`,
 `EvenColonResult`); the suites turn it into report rows.
 
 The even-connected pairs of a generator u come from one dynamic program
-over all of u's factorizations at once (`even_connections`).  Its states
-are the used sub-multisets U: the factorization edges a walk has taken so
-far, at most their multiplicity in one factorization.  Each state holds,
-per edge endpoint, the bitmask of start vertices with a walk that ends
-there and uses exactly U, so every start is followed at once.
-`max_states` caps the number of such sub-multisets, the empty one
-included, and the search raises `LimitExceeded` past it.
+over the used sub-multisets U of u's factorizations (`even_connections`):
+the factorization edges a walk has taken so far, at most their
+multiplicity in one factorization.  Each state holds, per vertex, the
+bitmask of start vertices whose walks use exactly U and then step into
+that vertex, so every start is followed at once, and the pairs that some
+non-empty sub-multiset of U joins.  The states live in one table per
+graph (`_WalkTable`), keyed by U as a sorted edge tuple and kept for the
+last 32 graphs, so the generators and powers of one graph walk each
+shared sub-multiset once.  `max_states` still caps the number of distinct
+sub-multisets of one call's factorizations, the empty one included, and
+the call raises `LimitExceeded` past it whatever the table holds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import LimitExceeded
@@ -169,7 +172,8 @@ def _factorizations(m: Monomial, g: Graph, s: int) -> list[tuple[tuple[int, int]
         raise ValueError("negative power")
     if m.nvars != g.vertex_count:
         raise ValueError("monomial universe does not match the graph")
-    edges = g.edges
+    # an edge with an endpoint outside supp(m) never divides what is left
+    edges = [(u, v) for u, v in g.edges if m[u - 1] and m[v - 1]]
     out: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
 
@@ -269,6 +273,83 @@ def generator_ordering(
     return GeneratorOrdering(s, r, order, tuple(generators))
 
 
+class _WalkTable:
+    """The walk states of one graph, keyed by the used edge multiset U.
+
+    U is a sorted tuple of edges (the factorization edges a walk has taken
+    so far), and U minus one edge keeps its order.  For each U met so far
+    `states[U]` holds two things.  `into[v]` is the bitmask of start
+    vertices x with a walk that uses exactly U and then takes one graph step
+    into v; for U empty it is the neighbors of v.  `reach` is Q(U): the pairs
+    (x, y), as bit y * (n + 1) + x, joined by a walk through some non-empty
+    sub-multiset of U.  A walk using exactly U ends, after its last step
+    along some e = pq of U, at q from the starts in into[U - e][p] (and at p
+    from into[U - e][q]); its graph step then reaches the neighbors of that
+    end, which gives into[U] and the new pairs of Q(U).
+    """
+
+    __slots__ = ("width", "near", "states")
+
+    def __init__(self, g: Graph):
+        self.width = g.vertex_count + 1
+        self.near = [()] + [tuple(g.neighbors(v)) for v in g.vertices]
+        into = [0] * self.width
+        for v, close in enumerate(self.near):
+            for w in close:
+                into[v] |= 1 << w
+        self.states: dict[tuple, tuple[list[int], int]] = {(): (into, 0)}
+
+    def reach(self, used: tuple) -> int:
+        """Q(used), built on first use from the states below it."""
+        state = self.states.get(used)
+        if state is None:
+            ends: dict[int, int] = {}
+            reach = 0
+            for i, (p, q) in enumerate(used):
+                if i and used[i - 1] == (p, q):
+                    continue
+                before = used[:i] + used[i + 1 :]
+                reach |= self.reach(before)
+                prev = self.states[before][0]
+                ends[q] = ends.get(q, 0) | prev[p]
+                ends[p] = ends.get(p, 0) | prev[q]
+            into = [0] * self.width
+            for v, starts in ends.items():
+                for w in self.near[v]:
+                    into[w] |= starts
+            for y, starts in enumerate(into):
+                reach |= starts << y * self.width
+            state = self.states[used] = (into, reach)
+        return state[1]
+
+
+@lru_cache(maxsize=32)
+def _walk_table(g: Graph) -> _WalkTable:
+    return _WalkTable(g)
+
+
+def _check_states(
+    factorizations: Sequence[tuple[tuple[int, int], ...]], max_states: int
+) -> None:
+    """LimitExceeded when the factorizations have more than `max_states`
+    distinct sub-multisets, the empty one included."""
+    # f has at most 2^|f| sub-multisets, so count them only past that bound
+    if 1 + sum(1 << len(f) for f in factorizations) <= max_states:
+        return
+    units: dict[tuple[int, int], int] = {}
+    states = {0}
+    for f in factorizations:
+        subs = {0}
+        for e in f:
+            if e not in units:
+                units[e] = 1 << _BITS * len(units)
+            unit = units[e]
+            subs |= {x + unit for x in subs}
+        states |= subs
+        if len(states) > max_states:
+            raise LimitExceeded(f"even-connection search exceeds {max_states} states")
+
+
 def even_connections(
     factorizations: Sequence[tuple[tuple[int, int], ...]],
     g: Graph,
@@ -283,74 +364,23 @@ def even_connections(
     include x = x via closed walks.  Several factorizations give the union
     of their pairs.
 
-    One dynamic program runs over the used sub-multisets U (the edges a walk
-    has taken so far, packed one byte per distinct edge).  Packed, U - e is
-    below U, so the states are taken in ascending order.  `at[U][v]` is the
-    bitmask of start vertices with a walk that ends at the edge endpoint v
-    and uses exactly U; it comes from U - e, for each distinct e in U, by
-    one graph step into an endpoint of e and one step along e.  x pairs
-    with y when x is in `at[U][v]` for some non-empty U and y is a neighbor
-    of v.  `max_states` caps the number of distinct used sub-multisets, the
-    empty one included.
+    The pairs of a factorization f are Q(f) of the graph's `_WalkTable`,
+    kept behind a bounded cache of 32 graphs, so the sub-multisets that
+    other factorizations, generators and powers of the same graph share
+    are walked once.  `max_states` caps the number of distinct
+    sub-multisets of this call's factorizations, the empty one included,
+    whether or not the table already holds them.
     """
-    units: dict[tuple[int, int], int] = {}
-    states = {0}
+    _check_states(factorizations, max_states)
+    table = _walk_table(g)
+    link = 0
     for f in factorizations:
-        subs = {0}
-        for e in f:
-            if e not in units:
-                units[e] = 1 << _BITS * len(units)
-            unit = units[e]
-            subs |= {x + unit for x in subs}
-        states |= subs
-        if len(states) > max_states:
-            raise LimitExceeded(f"even-connection search exceeds {max_states} states")
-    # the edge endpoints v by position: the bitmasks of their neighbors, and
-    # the positions of their neighbors among them
-    ends = sorted({v for e in units for v in e})
-    index = {v: i for i, v in enumerate(ends)}
-    masks, near = [], []
-    for b in ends:
-        mask, close = 0, []
-        for w in g.neighbors(b):
-            mask |= 1 << w
-            if w in index:
-                close.append(index[w])
-        masks.append(mask)
-        near.append(close)
-    steps = [(unit, unit * 0xFF, index[p], index[q]) for (p, q), unit in units.items()]
-    # at[U][i]: the bitmask of the docstring, for the endpoint at position i;
-    # into[U][i]: starts of a walk that uses exactly U and then steps into
-    # endpoint i, built from at[U] on first use (so never for a maximal U)
-    into = {0: masks}
-    at: dict[int, list[int]] = {}
-    for used in sorted(states)[1:]:
-        here = [0] * len(ends)
-        for unit, byte, i, j in steps:
-            if used & byte:
-                before = used - unit
-                prev = into.get(before)
-                if prev is None:
-                    last, prev = at[before], []
-                    for close in near:
-                        starts = 0
-                        for k in close:
-                            starts |= last[k]
-                        prev.append(starts)
-                    into[before] = prev
-                here[j] |= prev[i]
-                here[i] |= prev[j]
-        at[used] = here
-    hit = [reduce(or_, column) for column in zip(*at.values())]
-    link = [0] * (g.vertex_count + 1)
-    for v, starts in zip(ends, hit):
-        if starts:
-            for y in g.neighbors(v):
-                link[y] |= starts
+        link |= table.reach(tuple(f))
     # a walk read backwards is a walk, so link is symmetric
+    width = table.width
     pairs = []
     for a in g.vertices:
-        rest = link[a] >> a << a
+        rest = (link >> a * width & (1 << width) - 1) >> a << a
         while rest:
             low = rest & -rest
             pairs.append((a, low.bit_length() - 1))
@@ -374,11 +404,13 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
     Builds I + (x_a x_b over even-connected pairs, x = y allowed), the pairs
     found by one `even_connections` call over every factorization of u, and
     compares it with the direct colon, generated by the quotients g : u
-    over the generators g of I^s.  The quotients come as one row from the
-    row of I^s, and equality is decided on that row (`_Row.generate`): one
-    pass per walk-built generator finds it among the quotients and marks
-    the quotients it divides.  Only when they generate another ideal is the
-    row split, the direct colon minimalized and a witness sought.
+    over the generators g of I^s.  Equality is decided on the row of I^s
+    (`_Row.colon_is`) without forming the quotients: u * b must be a
+    generator for every walk-built generator b, and every generator must
+    reach u_a + b_a in each variable a of some b.  That test is exact here:
+    I^s is generated in degree 2s, deg u = 2s - 2 and deg b = 2, so b is a
+    quotient g : u only when g = u * b.  Only when it fails are the
+    quotients split, the direct colon minimalized and a witness sought.
     """
     if s < 2:
         raise ValueError("the colon comparison needs s >= 2")
@@ -393,17 +425,19 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
         )
     nv = g.vertex_count
     pairs = even_connections(facs, g)
-    built = MonomialIdeal._from_packed(
-        nv,
+    # distinct monomials of degree 2 divide none of each other: descending
+    # packed order is already canonical
+    built = MonomialIdeal._from_minimal(nv, sorted(
         {(1 << _BITS * (nv - a)) + (1 << _BITS * (nv - b)) for a, b in pairs}
         | set(edge_ideal(g).packed),
-    )
+        reverse=True,
+    ))
     row = ordinary_power(g, s).row
-    quotients = row.quotients(_pack(u))
-    if row.generate(quotients, built.packed):
+    pu = _pack(u)
+    if row.colon_is(pu, built.packed):
         direct, diff = built, None
     else:
-        direct = MonomialIdeal._from_packed(nv, row.split(quotients))
+        direct = MonomialIdeal._from_packed(nv, row.split(row.quotients(pu)))
         diff = first_difference(built, direct)
     matches = diff is None
     witness = None if matches else diff[0]

@@ -25,14 +25,18 @@ one select gives every quotient g : d as a chunk, and one subtraction tests
 which generators divide a monomial.  A chunk c below 2^(W-1) is nonzero iff
 the top bit of c + 2^(W-1) - 1 is set, with no carry into the next chunk, so
 "some chunk is zero" is one addition and one mask over the whole row.
-Because the minimal generating set is unique and lies inside every
-generating set, whether a row of quotients generates a known ideal is
-decided on the row, without splitting or minimalizing it
-(`_Row.generate`).  `contains` and `_quotient_supports` (the Betti
-facets) stay loops over the generators: few generators divide a given
-monomial, so the loops do little work, while a row form must split its
-result back into chunks; on the 2,585 `_quotient_supports` calls of the
-`reg-prime` tables a row form took 1.3-2.7x the loop's time.
+A row also keeps, once asked, the set of its generators and masks with
+one bit per generator: those whose exponent of variable a is at least e
+(`_Row.at_least`), read off the byte column of variable a by one
+guarded subtraction.  Because the minimal generating set is unique and
+lies inside every generating set, whether the quotients g : d generate a
+known ideal is decided from these, without forming, splitting or
+minimalizing the quotients (`_Row.colon_is`); colon checks of one ideal
+by many divisors reuse the masks.  `contains` and `_quotient_supports`
+(the Betti facets) stay loops over the generators: few generators divide
+a given monomial, so the loops do little work, while a row form must split
+its result back into chunks; on the 2,585 `_quotient_supports` calls of
+the `reg-prime` tables a row form took 1.3-2.7x the loop's time.
 """
 
 from __future__ import annotations
@@ -179,7 +183,9 @@ class _Row:
     No operation here carries or borrows across a chunk boundary.
     """
 
-    __slots__ = ("nvars", "count", "row", "ones", "guards", "top", "fill")
+    __slots__ = (
+        "nvars", "count", "row", "ones", "guards", "top", "fill", "_masks", "_members"
+    )
 
     def __init__(self, gens: Sequence[int], nvars: int):
         self.nvars, self.count = nvars, len(gens)
@@ -188,6 +194,8 @@ class _Row:
         self.guards = _guard(nvars) * self.ones
         self.top = self.ones << _BITS * nvars >> 1
         self.fill = self.top - self.ones
+        self._masks: dict[int, int] = {}
+        self._members: frozenset[int] | None = None
 
     def quotients(self, d: int) -> int:
         """The row of g : d over the generators g; no chunk has a guard bit."""
@@ -203,26 +211,58 @@ class _Row:
         t = ((p * self.ones | self.guards) - self.row) & self.guards
         return self.has_zero((t ^ self.guards) >> 1)
 
-    def generate(self, q: int, kept: Iterable[int]) -> bool:
-        """The chunks of q, a row with no guard bit, generate the ideal whose
-        minimal generators are kept.
+    def at_least(self, a: int, e: int) -> int:
+        """The generators whose exponent of variable a (0-based) is at least
+        e: byte j (the first most significant) holds a guard bit iff
+        generator j does.  Kept on the row, keyed by the packed x_a^e."""
+        shift = _BITS * (self.nvars - 1 - a)
+        mask = self._masks.get(e << shift)
+        if mask is None:
+            guards = _guard(self.count)
+            mask = 0
+            if e <= MAX_EXPONENT:
+                # byte j is g_j[a]; its guard bit survives subtracting e iff g_j[a] >= e
+                column = self.row.to_bytes(self.nvars * self.count, "big")[a :: self.nvars]
+                ones = guards >> _BITS - 1
+                mask = ((int.from_bytes(column, "big") | guards) - e * ones) & guards
+            self._masks[e << shift] = mask
+        return mask
+
+    def colon_is(self, d: int, kept: Iterable[int]) -> bool:
+        """The quotients g : d over the generators g generate the ideal whose
+        minimal generators are kept (packed, without guard bits), shown by:
+        (i) d * k is a generator for each k of kept, so k = (d * k) : d is a
+        quotient; (ii) each quotient is a multiple of some k, and g : d is a
+        multiple of k iff g_a >= d_a + k_a for every a in supp k.
 
         A monomial ideal has a unique minimal generating set, and it lies
-        inside every generating set: a minimal generator is a multiple of
-        some chunk, which is a multiple of some minimal generator, so the two
-        minimal generators are equal and so is the chunk.  Hence the chunks
-        generate the ideal iff each of kept is a chunk and each chunk is a
-        multiple of one of kept; one pass per element of kept tests both.
+        inside every generating set, so (i) and (ii) give equality.  False
+        means that (i) or (ii) fails.  When every generator has degree
+        deg d + deg k for every k, (i) is also necessary: g : d has degree at
+        least deg g - deg d, with equality only when d divides g.  Then
+        False means the quotients generate another ideal.
         """
-        undivided = self.top
-        qg = q | self.guards
+        if self._members is None:
+            self._members = frozenset(self.split(self.row))
+        members, masks = self._members, self._masks
+        every = _guard(self.count)
+        covered = 0
         for k in kept:
-            ks = k * self.ones
-            if not self.has_zero(q ^ ks):
+            p = d + k
+            if p not in members:
                 return False
-            t = (qg - ks) & self.guards
-            undivided &= ((t ^ self.guards) >> 1) + self.fill
-        return not undivided
+            multiples = every
+            while k:
+                low = (k.bit_length() - 1) // _BITS * _BITS  # k's top byte
+                byte = 0xFF << low
+                k &= ~byte
+                # p & byte is x_a^(d_a + k_a), the key of at_least(a, d_a + k_a)
+                mask = masks.get(p & byte)
+                if mask is None:
+                    mask = self.at_least(self.nvars - 1 - low // _BITS, (p & byte) >> low)
+                multiples &= mask
+            covered |= multiples
+        return covered == every
 
     def split(self, x: int) -> set[int]:
         """The distinct chunks of the row x."""
@@ -340,9 +380,15 @@ class MonomialIdeal:
     @classmethod
     def _from_packed(cls, nvars: int, packed: Collection[int]) -> "MonomialIdeal":
         """The ideal generated by packed monomials of this universe."""
+        return cls._from_minimal(nvars, _minimal(packed, nvars))
+
+    @classmethod
+    def _from_minimal(cls, nvars: int, packed: Iterable[int]) -> "MonomialIdeal":
+        """The ideal whose minimal generators are the packed monomials, given
+        in canonical order; neither is checked."""
         a = cls.__new__(cls)
         a.nvars = nvars
-        a.packed = _minimal(packed, nvars)
+        a.packed = tuple(packed)
         a._gens = None
         a._row = None
         return a

@@ -299,6 +299,137 @@ def test_even_connections_state_cap():
     assert even_connections(shared, c5, max_states=6) == even_connections(shared, c5)
 
 
+def test_even_connections_accept_pairs_that_are_not_edges():
+    # (1,3), (2,4) and (2,5) are not edges of C5, nor (1,4) and (2,3) of two
+    # disjoint edges; the pairs are those of the per-call program that the
+    # walk table replaced
+    c5 = cycle_graph(5)
+    assert even_connections([((1, 3),)], c5) == ((2, 2), (2, 4), (2, 5), (4, 5))
+    assert even_connections([((1, 3), (2, 4))], c5) == (
+        (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5),
+        (4, 5), (5, 5),
+    )
+    assert even_connections([((1, 2), (1, 3))], c5) == (
+        (1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5), (5, 5),
+    )
+    assert even_connections([((2, 5), (2, 5))], c5) == ((1, 1), (1, 3), (1, 4), (3, 4))
+    assert even_connections([((1, 3),), ((1, 2), (2, 4))], c5) == (
+        (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 5), (4, 5),
+    )
+    two = Graph(4, [(1, 2), (3, 4)])
+    assert even_connections([((1, 4),)], two) == ((2, 3),)
+    assert even_connections([((2, 3), (1, 4))], two) == ((1, 2), (1, 4), (2, 3), (3, 4))
+
+
+def _memo_cases():
+    """(graph, s, u) for every generator u of I^(s-1), s = 2..4, on C5 and
+    three seeded connected graphs."""
+    rng = random.Random(_SEED + 6)
+    graphs = [cycle_graph(5)] + [random_connected_graph(rng, n, 0.5) for n in (4, 5, 6)]
+    return [(g, s, u) for g in graphs for s in (2, 3, 4) for u in ordinary_power(g, s - 1).gens]
+
+
+def _memo_results(cases):
+    out = {}
+    for g, s, u in cases:
+        facs = [f.edges for f in enumerate_factorizations(u, g, s - 1)]
+        alone = [even_connections((f,), g) for f in facs]
+        out[g, s, u] = alone, even_connections(facs, g), colon_via_even_connections(g, u, s)
+    return out
+
+
+def test_walk_table_memo_gives_the_fresh_results():
+    cases = _memo_cases()
+    assert len(cases) > 200, len(cases)
+    fresh = {}
+    for case in cases:
+        evenconnect._walk_table.cache_clear()
+        fresh.update(_memo_results([case]))
+    # one table per graph, filled by the other graphs, powers and generators
+    # first, in both orders
+    evenconnect._walk_table.cache_clear()
+    assert _memo_results(cases) == fresh
+    evenconnect._walk_table.cache_clear()
+    assert _memo_results(cases[::-1]) == fresh
+    # the order within one graph and power reversed, the table already full
+    g, s = cases[-1][:2]
+    same = [c for c in cases if c[:2] == (g, s)][::-1]
+    assert _memo_results(same) == {c: fresh[c] for c in same}
+
+
+def test_state_cap_counts_per_call_once_the_table_holds_every_state():
+    c5 = cycle_graph(5)
+    facs = [f.edges for f in enumerate_factorizations(_mono("x1*x2*x3*x4", 5), c5, 2)]
+    assert facs == [((1, 2), (3, 4))]
+    want = even_connections(facs, c5)
+    for cap in (1, 3):
+        with pytest.raises(LimitExceeded, match=f"^even-connection search exceeds {cap} states$"):
+            even_connections(facs, c5, max_states=cap)
+    # {}, {a}, {b}, {a, b}
+    assert even_connections(facs, c5, max_states=4) == want
+
+
+def test_walk_table_cache_is_bounded():
+    info = evenconnect._walk_table.cache_info()
+    assert info.maxsize is not None
+    for n in range(3, 3 + info.maxsize + 4):
+        even_connections([((1, 2),)], cycle_graph(n))
+    assert evenconnect._walk_table.cache_info().currsize == info.maxsize
+    evenconnect._walk_table.cache_clear()
+    assert evenconnect._walk_table.cache_info().currsize == 0
+
+
+def _unfiltered_factorizations(m, g, s):
+    """The recursion over every edge of g, as it was before it skipped the
+    edges outside supp(m)."""
+    edges = g.edges
+    out, chosen = [], []
+
+    def rec(start, left, k):
+        if k == 0:
+            out.append(tuple(chosen))
+            return
+        if sum(left) < 2 * k:
+            return
+        for idx in range(start, len(edges)):
+            u, v = edges[idx]
+            if left[u - 1] >= 1 and left[v - 1] >= 1:
+                left[u - 1] -= 1
+                left[v - 1] -= 1
+                chosen.append((u, v))
+                rec(idx, left, k - 1)
+                chosen.pop()
+                left[u - 1] += 1
+                left[v - 1] += 1
+
+    rec(0, list(m), s)
+    return out
+
+
+def test_factorizations_match_the_unfiltered_recursion():
+    rng = random.Random(_SEED + 7)
+    found, several = 0, 0
+    for _ in range(5000):
+        g = random_graph(rng, rng.randint(2, 8), rng.choice((0.3, 0.5, 0.8)))
+        s = rng.randint(0, 4)
+        exps = [0] * g.vertex_count
+        if g.edges and rng.random() < 0.7:  # a product of s edges, sometimes times more
+            for a, b in rng.choices(g.edges, k=s):
+                exps[a - 1] += 1
+                exps[b - 1] += 1
+            extra = rng.randint(0, 2)
+        else:
+            extra = rng.randint(0, 2 * s + 2)
+        for _ in range(extra):
+            exps[rng.randrange(g.vertex_count)] += 1
+        m = Monomial(exps)
+        got = evenconnect._factorizations(m, g, s)
+        assert got == _unfiltered_factorizations(m, g, s), (g.edges, m.render(), s)
+        found += bool(got)
+        several += len(got) > 1
+    assert found > 2500 and several > 500, (found, several)
+
+
 def test_colon_via_even_connections_cycle():
     c5 = cycle_graph(5)
     res = colon_via_even_connections(c5, _mono("x1*x2", 5), 2)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 
 from edgeideals.betti import lcm_closure
 from edgeideals.errors import LimitExceeded, UniverseMismatch
+from edgeideals.families import random_connected_graph
 from edgeideals.monomials import (
+    _BITS,
     MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
     _colon,
+    _degree,
     _guard,
     _meet_prime_power,
     _member,
@@ -37,8 +42,10 @@ from edgeideals.monomials import (
     parse_monomial,
     variable_power_ideal,
 )
+from edgeideals.symbolic import ordinary_power
 
 _SEED = 20311
+EXTENDED = bool(os.environ.get("EDGEIDEALS_EXTENDED"))
 
 
 def naive_minimal(gens):
@@ -256,16 +263,42 @@ def test_prop_row_kernel_matches_per_generator_references(case):
     assert row.split(q) == quotients
     assert row.has_zero(q) == (0 in quotients)
     assert row.member(p) == _member(p, gens, guard)
-    # the generation test against minimalize-and-compare
-    direct = MonomialIdeal._from_packed(nv, quotients)
+
+
+def _colon_is_reference(gens, d, other, nv):
+    """Whether d * k is one of gens for every minimal generator k of other,
+    and the quotients g : d over gens generate other (by minimalizing)."""
+    direct = MonomialIdeal._from_packed(nv, {_colon(g, d, _guard(nv)) for g in gens})
+    return all(d + k in set(gens) for k in other.packed) and other == direct
+
+
+@settings(max_examples=2000 if EXTENDED else 300, deadline=None)
+@given(_row_cases())
+def test_prop_masks_and_colon_decision_match_references(case):
+    nv, gens, d, _ = case
+    row = _Row(gens, nv)
+    width = _BITS * len(gens)
+    for a in range(nv):
+        column = [_unpack(g, nv)[a] for g in gens]
+        for e in [*range(max(column) + 3), MAX_EXPONENT, MAX_EXPONENT + 1, 2 * MAX_EXPONENT]:
+            # bit j: the guard bit of byte j, the first generator most significant
+            want = sum(1 << width - _BITS * j - 1 for j, x in enumerate(column) if x >= e)
+            assert row.at_least(a, e) == want, (a, e)
+    # d, and gcd(d, g_0), which makes d * (g_0 : d) a generator
+    low = _pack([min(x, y) for x, y in zip(_unpack(d, nv), _unpack(gens[0], nv))])
     ideal = MonomialIdeal._from_packed(nv, gens)
-    for other in (direct, ideal, MonomialIdeal.zero(nv), MonomialIdeal.unit(nv)):
-        assert row.generate(q, other.packed) == (other == direct)
-        assert ideal.row.generate(ideal.row.row, other.packed) == (other == ideal)
+    others = [ideal, MonomialIdeal.zero(nv), MonomialIdeal.unit(nv)]
+    for other in others:
+        assert ideal.row.colon_is(0, other.packed) == (other == ideal)
+    for c in (d, low):
+        direct = MonomialIdeal._from_packed(nv, {_colon(g, c, _guard(nv)) for g in gens})
+        for other in (direct, *others):
+            assert row.colon_is(c, other.packed) == _colon_is_reference(gens, c, other, nv)
 
 
 def test_generates_agrees_with_minimalizing():
     rng = random.Random(_SEED + 9)
+    decided = 0
     for _ in range(200):
         nv = rng.randint(1, 5)
         a = random_ideal(rng, nv, rng.randint(1, 6))
@@ -274,9 +307,10 @@ def test_generates_agrees_with_minimalizing():
         quotients = a.row.split(q)
         assert quotients == {_colon(g, _pack(d), _guard(nv)) for g in a.packed}
         direct = MonomialIdeal._from_packed(nv, quotients)
-        assert a.row.generate(q, direct.packed)
-        for other in (a, random_ideal(rng, nv, rng.randint(1, 4)), MonomialIdeal.zero(nv)):
-            assert a.row.generate(q, other.packed) == (other == direct)
+        for other in (direct, a, random_ideal(rng, nv, rng.randint(1, 4)), MonomialIdeal.zero(nv)):
+            want = _colon_is_reference(a.packed, _pack(d), other, nv)
+            assert a.row.colon_is(_pack(d), other.packed) == want
+            decided += want
         # one minimal generator missing from the set, the empty set, the unit added
         for gens, b, want in (
             (quotients - {direct.packed[0]}, direct, False),
@@ -284,7 +318,42 @@ def test_generates_agrees_with_minimalizing():
             ({0, *quotients}, MonomialIdeal.unit(nv), True),
         ):
             row = _Row(sorted(gens), nv)
-            assert row.generate(row.row, b.packed) is want
+            assert row.colon_is(0, b.packed) is want
+    assert decided > 20, decided
+
+
+def test_colon_decision_on_edge_ideal_powers():
+    # I^s : u for u a generator of I^(s-1): the true colon (split and
+    # minimalized), without one generator, with a degree-2 non-member and
+    # with a square; the decision must equal the minimalized comparison
+    rng = random.Random(_SEED + 10)
+    seen = Counter()
+    for _ in range(10):
+        g = random_connected_graph(rng, rng.randint(4, 7), 0.5)
+        nv = g.vertex_count
+        units = [1 << _BITS * (nv - 1 - a) for a in range(nv)]
+        for s in (2, 3, 4):
+            row = ordinary_power(g, s).row
+            gens = ordinary_power(g, s - 1).gens
+            for u in rng.sample(gens, min(len(gens), 15)):
+                pu = _pack(u)
+                true = MonomialIdeal._from_packed(nv, row.split(row.quotients(pu)))
+                assert all(_degree(k, nv) == 2 for k in true.packed)
+                pairs = itertools.combinations(units, 2)
+                outside = [x + y for x, y in pairs if x + y not in true.packed]
+                squares = [2 * x for x in units if 2 * x not in true.packed]
+                kinds = [("true", set(true.packed)), ("minus", set(true.packed[1:]))]
+                if outside:
+                    kinds.append(("non-member", {*true.packed, rng.choice(outside)}))
+                if squares:
+                    kinds.append(("square", {*true.packed, rng.choice(squares)}))
+                for kind, kept in kinds:
+                    kept = sorted(kept, reverse=True)  # degree 2 only: already minimal
+                    want = MonomialIdeal._from_packed(nv, kept) == true
+                    assert want == (kind == "true")
+                    assert row.colon_is(pu, kept) is want, (g.edges, s, u.render(), kind)
+                    seen[kind] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def _reference_difference(a, b):
