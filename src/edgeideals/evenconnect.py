@@ -13,15 +13,17 @@ over desk-scale instances.  The checks return data (`LemmaResult`,
 The even-connected pairs of a generator u come from one dynamic program
 over the used sub-multisets U of u's factorizations (`even_connections`):
 the factorization edges a walk has taken so far, at most their
-multiplicity in one factorization.  Each state holds, per vertex, the
-bitmask of start vertices whose walks use exactly U and then step into
-that vertex, so every start is followed at once, and the pairs that some
-non-empty sub-multiset of U joins.  The states live in one table per
-graph (`_WalkTable`), keyed by U as a sorted edge tuple and kept for the
-last 32 graphs, so the generators and powers of one graph walk each
-shared sub-multiset once.  `max_states` still caps the number of distinct
-sub-multisets of one call's factorizations, the empty one included, and
-the call raises `LimitExceeded` past it whatever the table holds.
+multiplicity in one factorization.  Each state holds, as one int, the
+start vertices whose walks use exactly U and then step into each vertex,
+so every start is followed at once, and the pairs that some non-empty
+sub-multiset of U joins.  The states live in a table for the last graph
+asked about (`_WalkTable`), keyed by U as a sorted edge tuple, so the
+generators and powers of one graph walk each shared sub-multiset once;
+every caller finishes one graph before it starts the next.  After a call
+the table drops its states once it holds more than DEFAULT_MAX_STATES.
+`max_states` still caps the number of distinct sub-multisets of one
+call's factorizations, the empty one included, and the call raises
+`LimitExceeded` past it whatever the table holds.
 """
 
 from __future__ import annotations
@@ -278,14 +280,15 @@ class _WalkTable:
 
     U is a sorted tuple of edges (the factorization edges a walk has taken
     so far), and U minus one edge keeps its order.  For each U met so far
-    `states[U]` holds two things.  `into[v]` is the bitmask of start
-    vertices x with a walk that uses exactly U and then takes one graph step
-    into v; for U empty it is the neighbors of v.  `reach` is Q(U): the pairs
-    (x, y), as bit y * (n + 1) + x, joined by a walk through some non-empty
-    sub-multiset of U.  A walk using exactly U ends, after its last step
-    along some e = pq of U, at q from the starts in into[U - e][p] (and at p
-    from into[U - e][q]); its graph step then reaches the neighbors of that
-    end, which gives into[U] and the new pairs of Q(U).
+    `states[U]` holds two ints with bit v * (n + 1) + x for vertices v, x.
+    `into` sets it when some walk from x uses exactly U and then takes one
+    graph step into v; for U empty these are the pairs of neighbors.
+    `reach` is Q(U) and sets it when a walk through some non-empty
+    sub-multiset of U joins x to v.  A walk using exactly U ends, after its
+    last step along some e = pq of U, at q from the starts that into(U - e)
+    holds at p (and at p from those at q); its graph step then reaches the
+    neighbors of that end, which gives into(U), and Q(U) is into(U) together
+    with Q(U - e) for each e.
     """
 
     __slots__ = ("width", "near", "states")
@@ -293,16 +296,18 @@ class _WalkTable:
     def __init__(self, g: Graph):
         self.width = g.vertex_count + 1
         self.near = [()] + [tuple(g.neighbors(v)) for v in g.vertices]
-        into = [0] * self.width
+        into = 0
         for v, close in enumerate(self.near):
             for w in close:
-                into[v] |= 1 << w
-        self.states: dict[tuple, tuple[list[int], int]] = {(): (into, 0)}
+                into |= 1 << v * self.width + w
+        self.states: dict[tuple, tuple[int, int]] = {(): (into, 0)}
 
     def reach(self, used: tuple) -> int:
         """Q(used), built on first use from the states below it."""
         state = self.states.get(used)
         if state is None:
+            width = self.width
+            chunk = (1 << width) - 1
             ends: dict[int, int] = {}
             reach = 0
             for i, (p, q) in enumerate(used):
@@ -311,19 +316,23 @@ class _WalkTable:
                 before = used[:i] + used[i + 1 :]
                 reach |= self.reach(before)
                 prev = self.states[before][0]
-                ends[q] = ends.get(q, 0) | prev[p]
-                ends[p] = ends.get(p, 0) | prev[q]
-            into = [0] * self.width
+                ends[q] = ends.get(q, 0) | prev >> p * width & chunk
+                ends[p] = ends.get(p, 0) | prev >> q * width & chunk
+            into = 0
             for v, starts in ends.items():
                 for w in self.near[v]:
-                    into[w] |= starts
-            for y, starts in enumerate(into):
-                reach |= starts << y * self.width
-            state = self.states[used] = (into, reach)
+                    into |= starts << w * width
+            state = self.states[used] = (into, reach | into)
         return state[1]
 
+    def trim(self) -> None:
+        """Drop every state but the empty one once more than
+        DEFAULT_MAX_STATES are kept."""
+        if len(self.states) > DEFAULT_MAX_STATES:
+            self.states = {(): self.states[()]}
 
-@lru_cache(maxsize=32)
+
+@lru_cache(maxsize=1)
 def _walk_table(g: Graph) -> _WalkTable:
     return _WalkTable(g)
 
@@ -365,17 +374,19 @@ def even_connections(
     of their pairs.
 
     The pairs of a factorization f are Q(f) of the graph's `_WalkTable`,
-    kept behind a bounded cache of 32 graphs, so the sub-multisets that
-    other factorizations, generators and powers of the same graph share
-    are walked once.  `max_states` caps the number of distinct
-    sub-multisets of this call's factorizations, the empty one included,
-    whether or not the table already holds them.
+    kept for the last graph asked about, so the sub-multisets that other
+    factorizations, generators and powers of the same graph share are
+    walked once; past DEFAULT_MAX_STATES states the table is emptied after
+    the call.  `max_states` caps the number of distinct sub-multisets of
+    this call's factorizations, the empty one included, whether or not the
+    table already holds them.
     """
     _check_states(factorizations, max_states)
     table = _walk_table(g)
     link = 0
     for f in factorizations:
         link |= table.reach(tuple(f))
+    table.trim()
     # a walk read backwards is a walk, so link is symmetric
     width = table.width
     pairs = []

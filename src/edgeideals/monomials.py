@@ -213,19 +213,18 @@ class _Row:
 
     def at_least(self, a: int, e: int) -> int:
         """The generators whose exponent of variable a (0-based) is at least
-        e: byte j (the first most significant) holds a guard bit iff
-        generator j does.  Kept on the row, keyed by the packed x_a^e."""
-        shift = _BITS * (self.nvars - 1 - a)
-        mask = self._masks.get(e << shift)
+        e, for 0 <= e <= MAX_EXPONENT: byte j (the first most significant)
+        holds a guard bit iff generator j does.  Kept on the row, keyed by
+        the packed x_a^e."""
+        key = e << _BITS * (self.nvars - 1 - a)
+        mask = self._masks.get(key)
         if mask is None:
             guards = _guard(self.count)
-            mask = 0
-            if e <= MAX_EXPONENT:
-                # byte j is g_j[a]; its guard bit survives subtracting e iff g_j[a] >= e
-                column = self.row.to_bytes(self.nvars * self.count, "big")[a :: self.nvars]
-                ones = guards >> _BITS - 1
-                mask = ((int.from_bytes(column, "big") | guards) - e * ones) & guards
-            self._masks[e << shift] = mask
+            # byte j is g_j[a]; its guard bit survives subtracting e iff g_j[a] >= e
+            column = self.row.to_bytes(self.nvars * self.count, "big")[a :: self.nvars]
+            ones = guards >> _BITS - 1
+            mask = ((int.from_bytes(column, "big") | guards) - e * ones) & guards
+            self._masks[key] = mask
         return mask
 
     def colon_is(self, d: int, kept: Iterable[int]) -> bool:
@@ -244,7 +243,7 @@ class _Row:
         """
         if self._members is None:
             self._members = frozenset(self.split(self.row))
-        members, masks = self._members, self._masks
+        members, top = self._members, self.nvars - 1
         every = _guard(self.count)
         covered = 0
         for k in kept:
@@ -253,14 +252,9 @@ class _Row:
                 return False
             multiples = every
             while k:
-                low = (k.bit_length() - 1) // _BITS * _BITS  # k's top byte
-                byte = 0xFF << low
-                k &= ~byte
-                # p & byte is x_a^(d_a + k_a), the key of at_least(a, d_a + k_a)
-                mask = masks.get(p & byte)
-                if mask is None:
-                    mask = self.at_least(self.nvars - 1 - low // _BITS, (p & byte) >> low)
-                multiples &= mask
+                low = (k.bit_length() - 1) // _BITS  # k's top byte: variable top - low
+                k &= ~(0xFF << _BITS * low)
+                multiples &= self.at_least(top - low, p >> _BITS * low & 0xFF)
             covered |= multiples
         return covered == every
 

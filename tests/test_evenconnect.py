@@ -379,6 +379,24 @@ def test_walk_table_cache_is_bounded():
     assert evenconnect._walk_table.cache_info().currsize == 0
 
 
+def test_walk_table_drops_its_states_past_the_bound(monkeypatch):
+    g = cycle_graph(6)
+    facs = [evenconnect._factorizations(u, g, 2) for u in ordinary_power(g, 2).gens]
+    evenconnect._walk_table.cache_clear()
+    want = [even_connections(f, g) for f in facs]
+    monkeypatch.setattr(evenconnect, "DEFAULT_MAX_STATES", 5)
+    evenconnect._walk_table.cache_clear()
+    table = evenconnect._walk_table(g)
+    kept = []
+    for f, pairs in zip(facs, want):
+        assert even_connections(f, g) == pairs
+        assert evenconnect._walk_table(g) is table
+        kept.append(len(table.states))
+    # each call adds up to 4 states ({}, {a}, {b}, {a, b}); past 5 only {} is left
+    assert max(kept) <= 5 and kept.count(1) > 3, kept
+    evenconnect._walk_table.cache_clear()
+
+
 def _unfiltered_factorizations(m, g, s):
     """The recursion over every edge of g, as it was before it skipped the
     edges outside supp(m)."""
