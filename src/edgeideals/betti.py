@@ -18,7 +18,8 @@ complex is cut to its strong-homotopy core there, and a memo that lives for
 one `betti_table` call maps sorted facet tuples, before and after
 collapsing and renumbering, to their homology.  The Hochster oracle
 computes squarefree tables through the same `reduced_homology` from its
-full, uncollapsed complexes, with no memo and no symmetry.
+full, uncollapsed complexes, with no memo and no symmetry.  Both take the
+coefficient field as one value, `prime`: None for Q, else GF(prime).
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from operator import itemgetter, or_
 
 from .errors import LimitExceeded
 from .graphs import Graph
-from .homology import (
-    DEFAULT_PRIME,
-    _core,
-    _core_homology,
-    _facets,
-    check_field,
-    reduced_homology,
-)
+from .homology import _core, _core_homology, _facets, check_field, reduced_homology
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -252,9 +246,6 @@ def lcm_closure(a: MonomialIdeal, cap: int = DEFAULT_MAX_CLOSURE) -> list[int]:
 class BettiTable:
     """Nonzero multigraded Betti numbers with the graded and reg views."""
 
-    nvars: int
-    field: str
-    prime: int | None
     entries: tuple[tuple[int, Monomial, int], ...]
 
     def graded(self) -> dict[tuple[int, int], int]:
@@ -278,18 +269,16 @@ def _entry_key(entry: tuple[int, Monomial, int]) -> tuple:
 
 def betti_table(
     a: MonomialIdeal,
-    field: str = "rational",
-    prime: int = DEFAULT_PRIME,
+    prime: int | None = None,
     max_generators: int = DEFAULT_MAX_GENERATORS,
     max_closure: int = DEFAULT_MAX_CLOSURE,
     max_support: int = DEFAULT_MAX_SUPPORT,
 ) -> BettiTable:
     if a.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
-    check_field(field, prime)
-    used_prime = prime if field == "prime" else None
+    check_field(prime)
     if a.is_unit:
-        return BettiTable(a.nvars, field, used_prime, ((0, Monomial.unit(a.nvars), 1),))
+        return BettiTable(((0, Monomial.unit(a.nvars), 1),))
     if len(a) > max_generators:
         raise LimitExceeded(f"{len(a)} generators exceed the {max_generators} cap")
     nv = a.nvars
@@ -300,26 +289,25 @@ def betti_table(
     guard = _guard(nv)
     movers = _movers(_automorphisms(a))
     entries: list[tuple[int, Monomial, int]] = []
-    # sorted facet tuple -> reduced homology, for this table's field only
+    # sorted facet tuple -> reduced homology, for this table's prime only
     memo: dict[tuple[int, ...], dict[int, int]] = {}
     for x in _closure(a, movers, max_closure):
         facets = _facets(_quotient_supports(int.from_bytes(x, "big"), a.packed, guard))
         key = tuple(sorted(facets))
         homology = memo.get(key)
         if homology is None:
-            homology = memo[key] = _core_homology(_core(facets), memo, field, prime)
+            homology = memo[key] = _core_homology(_core(facets), memo, prime)
         if homology:  # the same at every multidegree of x's orbit
             for y in _orbit(x, movers, set()):
                 mono = _monomial(y)
                 entries.extend((d + 1, mono, rank) for d, rank in homology.items())
     entries.sort(key=_entry_key)
-    return BettiTable(a.nvars, field, used_prime, tuple(entries))
+    return BettiTable(tuple(entries))
 
 
 def hochster_betti_table(
     a: MonomialIdeal,
-    field: str = "rational",
-    prime: int = DEFAULT_PRIME,
+    prime: int | None = None,
     max_vars: int = 8,
 ) -> BettiTable:
     """Independent oracle for squarefree ideals via complement-complex homology.
@@ -330,7 +318,7 @@ def hochster_betti_table(
     """
     if a.is_zero or a.is_unit:
         raise ValueError("oracle needs a proper nonzero ideal")
-    check_field(field, prime)
+    check_field(prime)
     if any(not g.is_squarefree() for g in a.gens):
         raise ValueError("oracle only applies to squarefree ideals")
     ground = sorted({i for g in a.gens for i in g.support()})
@@ -347,13 +335,12 @@ def hochster_betti_table(
     entries: list[tuple[int, Monomial, int]] = []
     for w, m in subsets[1:]:
         restricted = [f for f in faces if f & ~w == 0]
-        for d, rank in reduced_homology(restricted, field, prime).items():
+        for d, rank in reduced_homology(restricted, prime).items():
             i = w.bit_count() - d - 2
             if i >= 0:
                 entries.append((i, m, rank))
     entries.sort(key=_entry_key)
-    used_prime = prime if field == "prime" else None
-    return BettiTable(nv, field, used_prime, tuple(entries))
+    return BettiTable(tuple(entries))
 
 
 def socle_regularity(g: Graph, s: int) -> int:

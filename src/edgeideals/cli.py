@@ -16,20 +16,20 @@ from pathlib import Path
 from .betti import DEFAULT_MAX_GENERATORS, betti_table
 from .errors import GraphFormatError, LimitExceeded
 from .graphs import DEFAULT_MAX_VERTICES, parse_graph_text
-from .homology import DEFAULT_PRIME, is_prime
+from .homology import check_field
 from .monomials import alpha_degree
 from .reports import FORMATS, SUITE_NAMES, RunConfig, emit_report, exit_code
 from .suites import GraphInstance, default_instances, run_suite
 from .symbolic import CycleDecomposition, asymptotic_invariants, symbolic_power
 
 
-def _parse_field(value: str) -> tuple[str, int]:
-    """'rational' or a number p for coefficients mod p (primality is checked
-    with the other option values, in _usage_error)."""
+def _parse_field(value: str) -> int | None:
+    """None for 'rational', or a number p for coefficients mod p (primality is
+    checked with the other option values, in _usage_error)."""
     if value == "rational":
-        return ("rational", DEFAULT_PRIME)
+        return None
     try:
-        return ("prime", int(value))
+        return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"field must be 'rational' or a prime, not {value!r}"
@@ -46,9 +46,10 @@ def _usage_error(args) -> str | None:
                         ("--max-generators", getattr(args, "max_generators", 1))):
         if value < 1:
             return f"{flag} must be at least 1, not {value}"
-    field = getattr(args, "field", ("rational", 0))
-    if field[0] == "prime" and not is_prime(field[1]):
-        return f"--field {field[1]} is not a prime"
+    try:
+        check_field(getattr(args, "field", None))
+    except ValueError as exc:
+        return f"--field {exc}"
     return None
 
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SUITE_NAMES + ("all",),
         help="suite to run (repeatable; default all)",
     )
-    check.add_argument("--field", type=_parse_field, default=("rational", DEFAULT_PRIME))
+    check.add_argument("--field", type=_parse_field)
     check.add_argument("--seed", type=int, default=2024)
     check.add_argument("--format", choices=FORMATS, default="text")
     check.add_argument(
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reg = sub.add_parser("reg", help="print Betti tables and regularity")
     common(reg, files_required=True)
-    reg.add_argument("--field", type=_parse_field, default=("rational", DEFAULT_PRIME))
+    reg.add_argument("--field", type=_parse_field)
     reg.add_argument(
         "--max-generators", type=int, default=DEFAULT_MAX_GENERATORS, metavar="N"
     )
@@ -122,13 +123,11 @@ def _write(data: bytes, out_path: str | None) -> None:
 
 
 def _cmd_check(args) -> int:
-    field, prime = args.field
     cfg = RunConfig(
         s_min=args.s_min,
         s_max=args.s_max,
         suites=tuple(args.suite) if args.suite else ("all",),
-        field=field,
-        prime=prime,
+        prime=args.field,
         seed=args.seed,
         max_vertices=args.max_vertices,
         max_generators=args.max_generators,
@@ -168,7 +167,7 @@ def _cmd_sympow(args) -> int:
 
 
 def _cmd_reg(args) -> int:
-    field, prime = args.field
+    field = "rational" if args.field is None else "prime"
     lines = []
     for path in args.files:
         inst = _read_instance(path, args.max_vertices)
@@ -176,9 +175,7 @@ def _cmd_reg(args) -> int:
             ideal = symbolic_power(inst.graph, s, args.max_vertices)
             if ideal.is_zero:
                 return _no_edges(path, s)
-            table = betti_table(
-                ideal, field=field, prime=prime, max_generators=args.max_generators
-            )
+            table = betti_table(ideal, args.field, max_generators=args.max_generators)
             lines.append(f"# {path} s={s}: regularity {table.regularity} ({field})")
             for (i, j), rank in sorted(table.graded().items()):
                 lines.append(f"beta[{i}][{j}] = {rank}")

@@ -244,19 +244,10 @@ def maximal_expression(
     return max(facs, key=lambda f: expression_key(f, order))
 
 
-@dataclass(frozen=True)
-class GeneratorOrdering:
-    """Minimal generators of I^s * m^r, greatest first by their maximal expressions."""
-
-    s: int
-    r: int
-    order: EdgeOrder
-    generators: tuple[Monomial, ...]
-
-
 def generator_ordering(
     g: Graph, s: int, r: int = 0, order: EdgeOrder | None = None
-) -> GeneratorOrdering:
+) -> tuple[Monomial, ...]:
+    """Minimal generators of I^s * m^r, greatest first by their maximal expressions."""
     if s < 1:
         raise ValueError("the edge-power exponent must be at least 1")
     if r < 0:
@@ -267,12 +258,11 @@ def generator_ordering(
         ideal = ideal_product(
             ideal, variable_power_ideal(g.vertex_count, range(g.vertex_count), r)
         )
-    generators = sorted(
+    return tuple(sorted(
         ideal.gens,
         key=lambda m: expression_key(maximal_expression(m, g, s, order), order),
         reverse=True,
-    )
-    return GeneratorOrdering(s, r, order, tuple(generators))
+    ))
 
 
 class _WalkTable:
@@ -491,7 +481,7 @@ def verify_order_lemma(
     quotient u_j / gcd(u_j, u_k).
     """
     order = order or EdgeOrder.for_graph(g)
-    us = generator_ordering(g, s, r, order).generators
+    us = generator_ordering(g, s, r, order)
     nv = g.vertex_count
     guard = _guard(nv)
     packed = [_pack(u) for u in us]
@@ -521,7 +511,7 @@ def verify_leaf_lemma(g: Graph, lp: LeafPeelOrder, s: int) -> LemmaResult:
     strictly greater companion.
     """
     order = lp.order
-    us = generator_ordering(g, s, 0, order).generators
+    us = generator_ordering(g, s, 0, order)
     zset = set(lp.peeled)
     nv = g.vertex_count
     guard = _guard(nv)

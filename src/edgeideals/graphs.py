@@ -108,6 +108,9 @@ class CycleCertificate:
             raise ValueError("a cycle needs at least 3 vertices")
         if len(set(vs)) != len(vs):
             raise ValueError(f"repeated vertex in cycle {vs}")
+        for v in vs:
+            if not 1 <= v <= g.vertex_count:
+                raise ValueError(f"cycle vertex {v} outside 1..{g.vertex_count}")
         for a, b in zip(vs, vs[1:] + vs[:1]):
             if b not in g.neighbors(a):
                 raise ValueError(f"cycle edge ({a},{b}) is not an edge of the graph")
@@ -364,16 +367,12 @@ def check_hypotheses(
     )
 
 
-def dominating_odd_cycles(
-    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> tuple[bool, tuple[tuple[CycleCertificate, bool], ...]]:
-    """Whether every simple odd cycle's neighborhood covers all vertices."""
-    data = odd_cycles(g, max_vertices)
+def dominating_odd_cycles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+    """Whether g has an odd cycle and every simple odd cycle's neighborhood
+    covers all vertices."""
+    cycles = odd_cycles(g, max_vertices).odd_cycles
     all_vs = frozenset(g.vertices)
-    flags = tuple(
-        (c, neighborhoods(g, c.vertices) == all_vs) for c in data.odd_cycles
-    )
-    return all(f for _, f in flags) and bool(flags), flags
+    return bool(cycles) and all(neighborhoods(g, c.vertices) == all_vs for c in cycles)
 
 
 def parse_graph_text(

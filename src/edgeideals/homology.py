@@ -6,9 +6,10 @@ the latter has reduced homology of rank one in dimension -1.  The Betti
 engine, through `_core_homology`, and the Hochster oracle both call
 `reduced_homology`.
 
-Ranks of boundary maps are computed either over the rationals, by integer
-row elimination with cross-multiplication and gcd stripping (no floating
-point, no fraction blowup), or over a prime field.
+The coefficient field is one value, `prime`: None for the rationals, else
+a prime p for GF(p).  Ranks of boundary maps come from one sparse echelon
+elimination, `rank`, in integers with gcd stripping over Q (no floating
+point, no fractions) and mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from functools import reduce
 from math import gcd
 from operator import and_, or_
 from typing import Iterable, Sequence
-
-DEFAULT_PRIME = 32003
 
 
 def is_prime(p: int) -> bool:
@@ -47,120 +46,62 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_field(field: str, prime: int) -> None:
-    """Refuse what is no coefficient field: an unknown name, or Z/n for n not prime."""
-    if field == "prime":
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not a prime")
-    elif field != "rational":
-        raise ValueError(f"unknown field {field!r}")
+def check_field(prime: int | None) -> None:
+    """Refuse what is no coefficient field: Z/n for n not prime.  None is Q."""
+    if prime is not None and not is_prime(prime):
+        raise ValueError(f"{prime} is not a prime")
 
 
-def _strip_gcd(row: dict) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for c in row:
-            row[c] //= g
+def rank(rows: Iterable[dict], prime: int | None = None) -> int:
+    """Rank of a sparse integer matrix (rows of col->val) over Q, or over GF(prime).
 
-
-def rank_rational(rows: Sequence[dict]) -> int:
-    """Rank over the rationals of a sparse integer matrix (rows of col->val).
-
-    Elimination keeps pivot rows free of each other's pivot columns, so
-    each reduction strictly shrinks the set of pivot columns in the work
-    row.  All arithmetic is integer; rows are gcd-stripped to stay small.
+    Each stored row is keyed by its least column and never changes.  A work
+    row whose least column c has a stored row is replaced by row*b - prow*a,
+    a and b their entries at c, which clears c; so the least column rises and
+    the loop ends with no back-substitution.  Over GF(p) a stored row is
+    scaled to lead with 1, so b = 1, and only the entries the stored row
+    touches are reduced mod p.  Over Q all arithmetic is integer, and each
+    reduced row is divided by the gcd of its entries to stay small.
     """
     pivots: dict[int, dict] = {}
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
-        while True:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
-                break
-            prow = pivots[hit]
-            a, b = row[hit], prow[hit]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {}
-            for c, v in row.items():
-                new[c] = v * ma
-            for c, v in prow.items():
-                w = new.get(c, 0) - v * mb
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = new
-            _strip_gcd(row)
-        if not row:
-            continue
-        col = min(row, key=lambda c: (abs(row[c]), c))
-        # clear the new pivot column from stored rows to keep the invariant
-        for pcol in list(pivots):
-            prow = pivots[pcol]
-            if col in prow:
-                a, b = prow[col], row[col]
-                g = gcd(a, b)
-                ma, mb = b // g, a // g
-                new = {c: v * ma for c, v in prow.items()}
-                for c, v in row.items():
-                    w = new.get(c, 0) - v * mb
+        if prime is None:
+            row = {c: v for c, v in raw.items() if v}
+        else:
+            row = {c: v % prime for c, v in raw.items() if v % prime}
+        while row and (lead := min(row)) in pivots:
+            prow, a = pivots[lead], row[lead]
+            if prime is None:
+                b = prow[lead]
+                if b != 1:
+                    for c in row:
+                        row[c] *= b
+                for c, v in prow.items():
+                    w = row.get(c, 0) - v * a
                     if w:
-                        new[c] = w
-                    elif c in new:
-                        del new[c]
-                _strip_gcd(new)
-                pivots[pcol] = new
-        pivots[col] = row
+                        row[c] = w
+                    else:
+                        del row[c]
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+            else:
+                for c, v in prow.items():
+                    w = (row.get(c, 0) - v * a) % prime
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+        if row:
+            if prime is not None and row[lead] != 1:
+                inverse = pow(row[lead], -1, prime)
+                row = {c: v * inverse % prime for c, v in row.items()}
+            pivots[lead] = row
     return len(pivots)
 
 
-def rank_mod_p(rows: Sequence[dict], p: int = DEFAULT_PRIME) -> int:
-    """Rank over GF(p) by the same sparse elimination."""
-    pivots: dict[int, dict] = {}
-    for raw in rows:
-        row = {c: v % p for c, v in raw.items() if v % p}
-        while True:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
-                break
-            prow = pivots[hit]
-            factor = (row[hit] * pow(prow[hit], -1, p)) % p
-            new = dict(row)
-            for c, v in prow.items():
-                w = (new.get(c, 0) - factor * v) % p
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = new
-        if not row:
-            continue
-        col = min(row)
-        for prow in pivots.values():
-            if col in prow:
-                factor = (prow[col] * pow(row[col], -1, p)) % p
-                for c, v in row.items():
-                    w = (prow.get(c, 0) - factor * v) % p
-                    if w:
-                        prow[c] = w
-                    elif c in prow:
-                        del prow[c]
-        pivots[col] = row
-    return len(pivots)
-
-
-def boundary_rank(
-    lower: Sequence[int],
-    upper: Sequence[int],
-    field: str = "rational",
-    prime: int = DEFAULT_PRIME,
-) -> int:
-    """Rank of the boundary map from span(upper) to span(lower).
+def boundary_rank(lower: Sequence[int], upper: Sequence[int], prime: int | None = None) -> int:
+    """Rank of the boundary map from span(upper) to span(lower), over Q or GF(prime).
 
     Faces are vertex bitmasks and each one is its own column key.  Removing
     the vertex at position idx, counting the set bits from the lowest,
@@ -176,31 +117,24 @@ def boundary_rank(
             row[face ^ v] = sign
             sign, rest = -sign, rest ^ v
         rows.append(row)
-    if field == "rational":
-        return rank_rational(rows)
-    if field == "prime":
-        return rank_mod_p(rows, prime)
-    raise ValueError(f"unknown field {field!r}")
+    return rank(rows, prime)
 
 
-def reduced_homology(
-    faces: Iterable[int],
-    field: str = "rational",
-    prime: int = DEFAULT_PRIME,
-) -> dict[int, int]:
+def reduced_homology(faces: Iterable[int], prime: int | None = None) -> dict[int, int]:
     """Nonzero reduced homology ranks by dimension of a complex given by its faces.
 
     `faces` lists every face once as a vertex bitmask, the empty face 0
     included, so the augmentation map is part of the chain complex:
     rank H~_d = f_d - rank d_d - rank d_{d+1}.  No faces at all is the void
     complex, with no homology; [0] is {emptyset}, with rank one in dimension -1.
-    The caller vouches for the field with `check_field`, once per table.
+    Coefficients are in Q for prime None, else in GF(prime); the caller
+    vouches for the prime with `check_field`, once per table.
     """
     by_dim: dict[int, list[int]] = {}
     for face in faces:
         by_dim.setdefault(face.bit_count() - 1, []).append(face)
     bnd = {
-        d: boundary_rank(by_dim.get(d - 1, []), group, field, prime)
+        d: boundary_rank(by_dim.get(d - 1, []), group, prime)
         for d, group in by_dim.items()
     }
     ranks = {
@@ -273,7 +207,7 @@ def _relabel(facets: list[int]) -> list[int]:
     return [sum(1 << i for i, v in enumerate(vertices) if f & v) for f in facets]
 
 
-def _core_homology(core: list[int], memo: dict, field: str, prime: int) -> dict[int, int]:
+def _core_homology(core: list[int], memo: dict, prime: int | None) -> dict[int, int]:
     """Reduced homology of a core, taken once per facet tuple up to renumbering.
 
     Renumbering the vertices 0..k-1 is an isomorphism, so one memo entry,
@@ -285,5 +219,5 @@ def _core_homology(core: list[int], memo: dict, field: str, prime: int) -> dict[
     core = _relabel(core)
     key = tuple(sorted(core))
     if key not in memo:
-        memo[key] = reduced_homology(_faces(core), field, prime)
+        memo[key] = reduced_homology(_faces(core), prime)
     return memo[key]

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .betti import DEFAULT_MAX_GENERATORS
 from .graphs import DEFAULT_MAX_VERTICES, CycleCertificate, Graph
-from .homology import DEFAULT_PRIME, check_field
+from .homology import check_field
 
 SUITE_NAMES = (
     "decomposition",
@@ -38,8 +38,7 @@ class RunConfig:
     s_min: int = 1
     s_max: int = 3
     suites: tuple[str, ...] = ("all",)
-    field: str = "rational"
-    prime: int = DEFAULT_PRIME
+    prime: int | None = None  # None: over Q; else over GF(prime)
     seed: int = 2024
     max_vertices: int = DEFAULT_MAX_VERTICES
     max_generators: int = DEFAULT_MAX_GENERATORS
@@ -55,7 +54,7 @@ class RunConfig:
         unknown = set(self.suites) - set(SUITE_NAMES) - {"all"}
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        check_field(self.field, self.prime)
+        check_field(self.prime)
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -70,8 +69,8 @@ class RunConfig:
             ("s_min", str(self.s_min)),
             ("s_max", str(self.s_max)),
             ("suites", ",".join(self.selected_suites())),
-            ("field", self.field),
-            ("prime", str(self.prime) if self.field == "prime" else ""),
+            ("field", "rational" if self.prime is None else "prime"),
+            ("prime", "" if self.prime is None else str(self.prime)),
             ("seed", str(self.seed)),
             ("max_vertices", str(self.max_vertices)),
             ("max_generators", str(self.max_generators)),

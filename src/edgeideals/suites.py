@@ -69,11 +69,7 @@ def default_instances(cfg: RunConfig) -> list[GraphInstance]:
 
 
 def _betti_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "field": cfg.field,
-        "prime": cfg.prime,
-        "max_generators": cfg.max_generators,
-    }
+    return {"prime": cfg.prime, "max_generators": cfg.max_generators}
 
 
 def _decomposition(inst: GraphInstance) -> CycleDecomposition | None:
@@ -144,7 +140,7 @@ def _suite_m2s(inst: GraphInstance, cfg: RunConfig) -> list[VerificationReport]:
         out.append(
             _row("m2s", "jm-truncation", info, () if m.jm_ok else (m.jm_witness.render(),))
         )
-        if m.muk_sum is None:
+        if m.muk_ok is None:
             out.append(_skip("m2s", "muk-truncation", info, "single designated cycle required"))
         else:
             out.append(

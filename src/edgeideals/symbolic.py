@@ -154,7 +154,6 @@ def layer_index(s: int, n: int) -> tuple[int, int]:
 class SymbolicDecomposition:
     """The sum over i <= k of J^i I^(s - i(n+1)) with its oracle comparison."""
 
-    s: int
     k: int
     total: MonomialIdeal
     matches: bool
@@ -173,10 +172,10 @@ def decompose_symbolic(g: Graph, cd: CycleDecomposition, s: int) -> SymbolicDeco
     ))
     diff = first_difference(total, symbolic_power(g, s))
     if diff is None:
-        return SymbolicDecomposition(s, k, total, True, None, None)
+        return SymbolicDecomposition(k, total, True, None, None)
     witness, side = diff
     side_name = "decomposition" if side == "left" else "symbolic_power"
-    return SymbolicDecomposition(s, k, total, False, witness, side_name)
+    return SymbolicDecomposition(k, total, False, witness, side_name)
 
 
 def _muk_terms(g: Graph, cd: CycleDecomposition, s: int) -> list[MonomialIdeal]:
@@ -193,12 +192,9 @@ def _muk_terms(g: Graph, cd: CycleDecomposition, s: int) -> list[MonomialIdeal]:
 class M2SIdentities:
     """The three descriptions of I^(s) intersected with m^(2s)."""
 
-    s: int
-    k: int
     jm_ok: bool
     jm_witness: Monomial | None
-    muk_sum: MonomialIdeal | None      # None when more than one cycle is designated
-    muk_ok: bool | None
+    muk_ok: bool | None                # None when more than one cycle is designated
     muk_witness: Monomial | None
     all_odd_cycles_dominating: bool
     power_ok: bool | None              # I^(s) cap m^2s == I^s, only under dominance
@@ -219,16 +215,14 @@ def m2s_identities(g: Graph, cd: CycleDecomposition, s: int) -> M2SIdentities:
     jm_diff = first_difference(lhs, jm_sum)
     jm_ok = jm_diff is None
 
-    muk_sum = None
     muk_ok: bool | None = None
     muk_witness = None
     if cd.single_cycle:
-        muk_sum = ideal_sum(*_muk_terms(g, cd, s))
-        muk_diff = first_difference(lhs, muk_sum)
+        muk_diff = first_difference(lhs, ideal_sum(*_muk_terms(g, cd, s)))
         muk_ok = muk_diff is None
         muk_witness = muk_diff[0] if muk_diff else None
 
-    dominant, _ = dominating_odd_cycles(g)
+    dominant = dominating_odd_cycles(g)
     power_ok: bool | None = None
     power_witness = None
     if dominant:
@@ -237,11 +231,8 @@ def m2s_identities(g: Graph, cd: CycleDecomposition, s: int) -> M2SIdentities:
         power_witness = pw_diff[0] if pw_diff else None
 
     return M2SIdentities(
-        s=s,
-        k=k,
         jm_ok=jm_ok,
         jm_witness=jm_diff[0] if jm_diff else None,
-        muk_sum=muk_sum,
         muk_ok=muk_ok,
         muk_witness=muk_witness,
         all_odd_cycles_dominating=dominant,
@@ -287,7 +278,6 @@ def asymptotic_invariants(g: Graph, cd: CycleDecomposition, s_max: int) -> Asymp
 
 @dataclass(frozen=True)
 class ContainmentCheck:
-    s: int
     contained: bool
     agree: bool
 
@@ -303,7 +293,6 @@ def containment_check(g: Graph, s: int, t: int) -> ContainmentCheck:
     pw = ordinary_power(g, t)
     contained = ideal_contains(pw, sym)
     return ContainmentCheck(
-        s=s,
         contained=contained,
         agree=contained == (alpha_degree(sym) >= alpha_degree(pw)),
     )

@@ -218,7 +218,7 @@ def test_engine_matches_hochster_oracle():
     # the engine is not specific to edge ideals: other squarefree ideals, two fields
     for _ in range(25):
         a = _random_squarefree_ideal(rng)
-        for kwargs in ({}, {"field": "prime", "prime": 2}):
+        for kwargs in ({}, {"prime": 2}):
             got = betti_table(a, **kwargs).entries
             assert got == hochster_betti_table(a, **kwargs).entries, (a.render(), kwargs)
 
@@ -227,11 +227,10 @@ def test_prime_field_agrees_on_small_graphs():
     for g in (path_graph(4), cycle_graph(5)):
         a = edge_ideal(g)
         rational = betti_table(a)
-        mod2 = betti_table(a, field="prime", prime=2)
+        mod2 = betti_table(a, prime=2)
         assert mod2.entries == rational.entries
-        assert mod2.prime == 2 and rational.prime is None
         assert (
-            hochster_betti_table(a, field="prime", prime=2).entries
+            hochster_betti_table(a, prime=2).entries
             == rational.entries
         )
 
@@ -257,7 +256,7 @@ _RP2 = [
 ]
 
 
-def _check_core(facets: list[int], fields=({}, {"field": "prime", "prime": 2})):
+def _check_core(facets: list[int], fields=({}, {"prime": 2})):
     """The core is a subcomplex with no dominated vertex left and the same
     reduced homology as the full complex; a pruned core has none.  Its
     relabelling onto 0..k-1 keeps every vertex and the homology too.
@@ -291,7 +290,7 @@ def test_core_keeps_homology_of_facet_families():
     # no vertex of RP^2 is dominated; its core is itself, with 2-torsion
     rp2 = [_mask(f) for f in _RP2]
     assert sorted(_check_core(rp2)[0]) == sorted(rp2)
-    assert reduced_homology(homology._faces(rp2), field="prime", prime=2) == {1: 1, 2: 1}
+    assert reduced_homology(homology._faces(rp2), prime=2) == {1: 1, 2: 1}
     # vertices 0 and 1 dominate each other: deleting both at once leaves the
     # contractible edge {2, 3}, deleting one leaves a hollow triangle
     mutual = [_mask((0, 1, 2)), _mask((0, 1, 3)), _mask((2, 3))]
@@ -409,13 +408,12 @@ def _orbit_minima(a: MonomialIdeal, closure: list[int]) -> set[int]:
 
 def _table_without_symmetry(a: MonomialIdeal, **kwargs) -> tuple:
     """The table's entries built at every multidegree of the closure, one by one."""
-    field = kwargs.get("field", "rational")
-    prime = kwargs.get("prime", 32003)
+    prime = kwargs.get("prime")
     guard, memo, entries = _guard(a.nvars), {}, []
     for b in lcm_closure(a):
         core = homology._core(homology._facets(_quotient_supports(b, a.packed, guard)))
         mono = _unpack(b, a.nvars)
-        for d, rank in homology._core_homology(core, memo, field, prime).items():
+        for d, rank in homology._core_homology(core, memo, prime).items():
             entries.append((d + 1, mono, rank))
     entries.sort(key=lambda e: (e[0], e[1].degree(), tuple(-x for x in e[1])))
     return tuple(entries)
@@ -474,7 +472,7 @@ def test_orbit_table_matches_table_without_symmetry():
         for s in (1, 2):
             for a in {symbolic_power(g, s), ordinary_power(g, s)}:
                 symmetric += bool(betti._automorphisms(a))
-                for kwargs in ({}, {"field": "prime", "prime": 3}):
+                for kwargs in ({}, {"prime": 3}):
                     got = betti_table(a, **kwargs).entries
                     assert got == _table_without_symmetry(a, **kwargs), (render_graph_text(g), s)
     assert symmetric >= 12
@@ -540,14 +538,13 @@ def test_unit_ideal_table():
         betti_table(MonomialIdeal.zero(3))
     # the field is refused before the unit ideal's early return
     with pytest.raises(ValueError, match="4 is not a prime"):
-        betti_table(MonomialIdeal.unit(3), field="prime", prime=4)
+        betti_table(MonomialIdeal.unit(3), prime=4)
 
 
 def test_as_dict_shape():
-    """The fields a report serialises: field, prime, regularity, entries, graded."""
+    """The views a report serialises: regularity, entries, graded."""
     table = betti_table(edge_ideal(complete_graph(3)))
     assert table.regularity == 2
-    assert table.field == "rational" and table.prime is None
     assert (0, Monomial((1, 1, 0)), 1) in table.entries
     assert table.graded()[(1, 3)] == 2
 
@@ -561,12 +558,13 @@ def test_hochster_oracle_refuses_bad_input():
         hochster_betti_table(edge_ideal(cycle_graph(9)))
 
 
-@pytest.mark.parametrize("prime", [1, 4])
+@pytest.mark.parametrize("prime", [1, 4, 0, -3])
 @pytest.mark.parametrize("table", [betti_table, hochster_betti_table])
 def test_composite_prime_field_refused(table, prime):
-    # Z/1 and Z/4 are no fields: the engine and the oracle refuse them themselves
+    # 1, 4, 0 and -3 are no primes: the engine and the oracle refuse them
+    # themselves, and 0 is not read as the rationals
     with pytest.raises(ValueError, match=f"{prime} is not a prime"):
-        table(edge_ideal(cycle_graph(5)), field="prime", prime=prime)
+        table(edge_ideal(cycle_graph(5)), prime=prime)
 
 
 def test_resource_caps():

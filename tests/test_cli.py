@@ -101,6 +101,17 @@ def test_even_designated_cycle_exits_2(tmp_path, capsys, verb):
     assert captured.err == "error: line 6: designated cycle has even length 4\n"
 
 
+@pytest.mark.parametrize("verb", ["check", "sympow", "reg", "invariants"])
+@pytest.mark.parametrize("vertex", ["7", "0"])
+def test_cycle_vertex_out_of_range_exits_2(tmp_path, capsys, verb, vertex):
+    p = tmp_path / "triangle.graph"
+    p.write_text(f"n 3\ne 1 2\ne 2 3\ne 1 3\nc {vertex} 1 2\n")
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 5: cycle vertex {vertex} outside 1..3\n"
+
+
 def test_sympow_output(c5_file, capsys):
     assert main(["sympow", c5_file, "--s-max", "2"]) == 0
     out = capsys.readouterr().out

@@ -130,8 +130,7 @@ def test_maximal_expression_prefers_greater_edges():
 
 def test_generator_ordering_total_and_consistent():
     c5 = cycle_graph(5)
-    go = generator_ordering(c5, 2)
-    us = go.generators
+    us = generator_ordering(c5, 2)
     assert len(us) == len(set(us)) == len(ordinary_power(c5, 2).gens)
     keys = [_edgelex_key(u, c5, 2) for u in us]
     for i in range(len(us)):

@@ -207,12 +207,11 @@ def test_check_hypotheses_gap_instances():
 
 
 def test_dominating_odd_cycles():
-    assert dominating_odd_cycles(cycle_graph(5))[0]
-    assert dominating_odd_cycles(three_triangles()[0])[0]
-    assert not dominating_odd_cycles(cycle_with_paths(5, [(1, 2)])[0])[0]
+    assert dominating_odd_cycles(cycle_graph(5))
+    assert dominating_odd_cycles(three_triangles()[0])
+    assert not dominating_odd_cycles(cycle_with_paths(5, [(1, 2)])[0])
     # bipartite graph has no odd cycles at all: vacuously not dominating
-    ok, flags = dominating_odd_cycles(cycle_graph(6))
-    assert not ok and flags == ()
+    assert not dominating_odd_cycles(cycle_graph(6))
 
 
 def test_parse_graph_text_roundtrip_and_errors():
@@ -231,6 +230,9 @@ def test_parse_graph_text_roundtrip_and_errors():
         ("n 3\nq 1\n", 2),
         ("n 3\ne 1 2\nc 1 2\n", 3),
         ("n 3\ne 1 2\nc 1 2 3\n", 3),
+        # a cycle vertex outside 1..n is a format error, not a crash
+        ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 7 1 2\n", 5),
+        ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 0 1 2\n", 5),
     ]:
         with pytest.raises(GraphFormatError) as exc:
             parse_graph_text(bad)

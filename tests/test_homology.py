@@ -1,21 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
-from edgeideals.homology import (
-    _contractible,
-    _core,
-    boundary_rank,
-    rank_mod_p,
-    rank_rational,
-    reduced_homology,
-)
+from edgeideals import homology
+from edgeideals.homology import _contractible, _core, boundary_rank, rank, reduced_homology
 
 _SEED = 77141
+EXTENDED = bool(os.environ.get("EDGEIDEALS_EXTENDED"))
 
 # minimal 6-vertex triangulation of the real projective plane
 _RP2 = [
@@ -77,11 +74,11 @@ def test_homology_classic_spaces():
 
 def test_projective_plane_torsion():
     rp2 = _closure(_RP2)
-    assert reduced_homology(rp2, field="rational") == {}
+    assert reduced_homology(rp2) == {}
     # mod 2 the top class and the 1-cycle appear
-    assert reduced_homology(rp2, field="prime", prime=2) == {1: 1, 2: 1}
+    assert reduced_homology(rp2, prime=2) == {1: 1, 2: 1}
     # a large prime behaves like characteristic zero here
-    assert reduced_homology(rp2, field="prime", prime=32003) == {}
+    assert reduced_homology(rp2, prime=32003) == {}
 
 
 def _random_complex(rng: random.Random) -> list[int]:
@@ -110,8 +107,8 @@ def test_rank_engines_match_numpy():
         dense = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
         want = int(np.linalg.matrix_rank(np.array(dense, dtype=float)))
-        assert rank_rational(rows) == want
-        assert rank_mod_p(rows, 32003) == want
+        assert rank(rows) == want
+        assert rank(rows, 32003) == want
 
 
 def test_rank_sparse_wide():
@@ -129,8 +126,8 @@ def test_rank_sparse_wide():
         for j, v in row.items():
             dense[i, j] = v
     want = int(np.linalg.matrix_rank(dense))
-    assert rank_rational(rows) == want
-    assert rank_mod_p(rows, 32003) == want
+    assert rank(rows) == want
+    assert rank(rows, 32003) == want
 
 
 def _dense_rank(dense: list[list[int]], p: int | None = None) -> int:
@@ -156,28 +153,44 @@ def _dense_rank(dense: list[list[int]], p: int | None = None) -> int:
     return rank
 
 
-def test_rank_mod_p_never_exceeds_rational_rank():
-    # sparse {-1, 0, 1} matrices, like boundary maps; by universal
-    # coefficients a rank mod p is at most the rational rank, and both
-    # engines agree with dense elimination written out here
+def test_rank_mod_p_never_exceeds_rational_rank(monkeypatch):
+    # sparse matrices with entries in -5..5; by universal coefficients a rank
+    # mod p is at most the rational rank, and both agree with dense
+    # elimination written out here
+    strips = []
+
+    def recording_gcd(*values):
+        g = gcd(*values)
+        strips.append(g)
+        return g
+
+    monkeypatch.setattr(homology, "gcd", recording_gcd)
     rng = random.Random(_SEED + 3)
-    dropped = 0
-    for _ in range(150):
+    dropped = lead_not_one = 0
+    for _ in range(2000 if EXTENDED else 150):
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         density = rng.choice([0.2, 0.4, 0.7])
         dense = [
-            [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+            [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)]
             for _ in range(m)
         ]
         rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        rational = rank_rational(rows)
+        rational = rank(rows)
         assert rational == _dense_rank(dense), dense
         for p in (2, 3, 32003):
-            modular = rank_mod_p(rows, p)
+            modular = rank(rows, p)
             assert modular == _dense_rank(dense, p), (dense, p)
             assert modular <= rational, (dense, p)
             dropped += modular < rational
+        # the first nonzero row is stored as it is, keyed by its least column,
+        # so a later row with that least column is reduced by it with b != 1
+        leads = [(min(r), r[min(r)]) for r in rows if r]
+        lead_not_one += bool(leads) and leads[0][1] != 1 and any(
+            c == leads[0][0] for c, _ in leads[1:]
+        )
     assert dropped > 10
+    assert lead_not_one > 10
+    assert any(g > 1 for g in strips)
 
 
 def test_boundary_rank_empty_edges():

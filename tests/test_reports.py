@@ -58,16 +58,17 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(suites=("nope",))
     with pytest.raises(ValueError):
-        RunConfig(field="padic")
-    with pytest.raises(ValueError):
         RunConfig(output_format="yaml")
-    # the CLI's --field check uses the same primality test
-    with pytest.raises(ValueError, match="4 is not a prime"):
-        RunConfig(field="prime", prime=4)
-    assert RunConfig(field="prime", prime=32003).prime == 32003
+    # the CLI's --field check uses the same primality test; 0 is no field,
+    # not the rationals
+    for p in (0, 4, -3):
+        with pytest.raises(ValueError, match=f"{p} is not a prime"):
+            RunConfig(prime=p)
     echo = dict(RunConfig(seed=7).echo())
     assert echo["seed"] == "7"
-    assert echo["field"] == "rational"
+    assert (echo["field"], echo["prime"]) == ("rational", "")
+    echo = dict(RunConfig(prime=32003).echo())
+    assert (echo["field"], echo["prime"]) == ("prime", "32003")
 
 
 def test_graph_hash_stable_and_distinct():

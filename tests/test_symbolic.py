@@ -245,7 +245,7 @@ def test_m2s_identities_multi_cycle():
     for s in (2, 3):
         rep = m2s_identities(tri, cd, s)
         assert rep.jm_ok
-        assert rep.muk_sum is None and rep.muk_ok is None
+        assert rep.muk_ok is None and rep.muk_witness is None
         assert rep.all_odd_cycles_dominating
         assert rep.power_ok
 
