@@ -110,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_instance(path: str, max_vertices: int) -> GraphInstance:
     try:
         g, certs = parse_graph_text(Path(path).read_text(), max_vertices)
-    except LimitExceeded as exc:
-        raise LimitExceeded(f"{path}: {exc}") from None
+    except (GraphFormatError, LimitExceeded) as exc:
+        # name the file in front of the line the message already names
+        exc.args = (f"{path}: {exc}",)
+        raise
     return GraphInstance(g, certs, label=Path(path).name)
 
 

@@ -10,20 +10,18 @@ against the directly computed colon.  Everything here is exhaustive search
 over desk-scale instances.  The checks return data (`LemmaResult`,
 `EvenColonResult`); the suites turn it into report rows.
 
-The even-connected pairs of a generator u come from one dynamic program
-over the used sub-multisets U of u's factorizations (`even_connections`):
-the factorization edges a walk has taken so far, at most their
-multiplicity in one factorization.  Each state holds, as one int, the
-start vertices whose walks use exactly U and then step into each vertex,
-so every start is followed at once, and the pairs that some non-empty
-sub-multiset of U joins.  The states live in a table for the last graph
-asked about (`_WalkTable`), keyed by U as a sorted edge tuple, so the
-generators and powers of one graph walk each shared sub-multiset once;
-every caller finishes one graph before it starts the next.  After a call
-the table drops its states once it holds more than DEFAULT_MAX_STATES.
-`max_states` still caps the number of distinct sub-multisets of one
-call's factorizations, the empty one included, and the call raises
-`LimitExceeded` past it whatever the table holds.
+The even-connected pairs of a generator u depend on u alone: they are the
+union over u's factorizations into edges, and they come from one dynamic
+program over the monomials m that u reaches by removing edges one at a
+time (`even_connections`), the products of the sub-multisets of its
+factorizations.  Each state holds, as one int, the start vertices whose
+walks use exactly the edges of one factorization of m and then step into
+each vertex, so every start is followed at once, and the pairs that some
+of those walks join.  The states live in a table for the last graph asked
+about (`_WalkTable`), keyed by m packed, so the generators and powers of
+one graph walk each shared monomial once; every caller finishes one graph
+before it starts the next.  After a call the table drops its states once
+it holds more than DEFAULT_MAX_STATES.
 """
 
 from __future__ import annotations
@@ -31,9 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
-
-from .errors import LimitExceeded
 from .graphs import Graph
 from .monomials import (
     _BITS,
@@ -266,60 +261,65 @@ def generator_ordering(
 
 
 class _WalkTable:
-    """The walk states of one graph, keyed by the used edge multiset U.
+    """The walk states of one graph, keyed by packed monomials m.
 
-    U is a sorted tuple of edges (the factorization edges a walk has taken
-    so far), and U minus one edge keeps its order.  For each U met so far
-    `states[U]` holds two ints with bit v * (n + 1) + x for vertices v, x.
-    `into` sets it when some walk from x uses exactly U and then takes one
-    graph step into v; for U empty these are the pairs of neighbors.
-    `reach` is Q(U) and sets it when a walk through some non-empty
-    sub-multiset of U joins x to v.  A walk using exactly U ends, after its
-    last step along some e = pq of U, at q from the starts that into(U - e)
-    holds at p (and at p from those at q); its graph step then reaches the
-    neighbors of that end, which gives into(U), and Q(U) is into(U) together
-    with Q(U - e) for each e.
+    For each m met so far `states[m]` holds two ints with bit v * (n + 1) + x
+    for vertices v, x.  `into` sets it when some walk from x uses exactly
+    the edges of a factorization of m (a multiset of edges whose product is
+    m) and then takes one graph step into v; for m = 1 these are the pairs
+    of neighbors.  `reach` sets it when some walk through a non-empty
+    sub-multiset of a factorization of m joins x to v.  A walk using exactly
+    the factorization U ends, after its last step along some e = pq of U,
+    at q from the starts that into(m - e) holds at p (and at p from those
+    at q); its graph step then reaches the neighbors of that end, which
+    gives into(m).  The proper sub-multisets of m's factorizations are the
+    sub-multisets of the factorizations of m - e over the edges e dividing
+    m, so reach(m) is into(m) together with reach(m - e) for each such e.
+    An m that is no product of edges has no factorization and keeps (0, 0).
     """
 
-    __slots__ = ("width", "near", "states")
+    __slots__ = ("nvars", "chunk", "edges", "pairs", "upper", "states")
 
     def __init__(self, g: Graph):
-        self.width = g.vertex_count + 1
-        self.near = [()] + [tuple(g.neighbors(v)) for v in g.vertices]
-        into = 0
-        for v, close in enumerate(self.near):
-            for w in close:
-                into |= 1 << v * self.width + w
-        self.states: dict[tuple, tuple[int, int]] = {(): (into, 0)}
+        n = self.nvars = g.vertex_count
+        width = n + 1
+        self.chunk = (1 << width) - 1
+        # starts * spread[v] puts the starts at every neighbor of v
+        spread = [0] + [sum(1 << w * width for w in g.neighbors(v)) for v in g.vertices]
+        # per edge pq: where its ends sit in the bytes of m and in a state,
+        # the neighbors of each end, and the edge's packed product
+        self.edges = [
+            (p - 1, q - 1, p * width, q * width, spread[p], spread[q],
+             (1 << _BITS * (n - p)) + (1 << _BITS * (n - q)))
+            for p, q in g.edges
+        ]
+        # bit a * width + b of the upper triangle a <= b, and its pair
+        self.pairs = {a * width + b: (a, b) for a in g.vertices for b in range(a, width)}
+        self.upper = sum(1 << bit for bit in self.pairs)
+        # with no edge used yet, a walk from x steps into each neighbor v
+        into = sum(1 << v * width + x for v in g.vertices for x in g.neighbors(v))
+        self.states: dict[int, tuple[int, int]] = {0: (into, 0)}
 
-    def reach(self, used: tuple) -> int:
-        """Q(used), built on first use from the states below it."""
-        state = self.states.get(used)
+    def state(self, m: int) -> tuple[int, int]:
+        """(into(m), reach(m)), built on first use from the states below it."""
+        state = self.states.get(m)
         if state is None:
-            width = self.width
-            chunk = (1 << width) - 1
-            ends: dict[int, int] = {}
-            reach = 0
-            for i, (p, q) in enumerate(used):
-                if i and used[i - 1] == (p, q):
-                    continue
-                before = used[:i] + used[i + 1 :]
-                reach |= self.reach(before)
-                prev = self.states[before][0]
-                ends[q] = ends.get(q, 0) | prev >> p * width & chunk
-                ends[p] = ends.get(p, 0) | prev >> q * width & chunk
-            into = 0
-            for v, starts in ends.items():
-                for w in self.near[v]:
-                    into |= starts << w * width
-            state = self.states[used] = (into, reach | into)
-        return state[1]
+            chunk, exps = self.chunk, m.to_bytes(self.nvars, "big")
+            into = reach = 0
+            for i, j, p, q, near_p, near_q, e in self.edges:
+                if exps[i] and exps[j]:
+                    prev, below = self.states.get(m - e) or self.state(m - e)
+                    reach |= below
+                    # walks that end along pq at q step on to its neighbors
+                    into |= (prev >> p & chunk) * near_q | (prev >> q & chunk) * near_p
+            state = self.states[m] = (into, reach | into)
+        return state
 
     def trim(self) -> None:
-        """Drop every state but the empty one once more than
+        """Drop every state but that of m = 1 once more than
         DEFAULT_MAX_STATES are kept."""
         if len(self.states) > DEFAULT_MAX_STATES:
-            self.states = {(): self.states[()]}
+            self.states = {0: self.states[0]}
 
 
 @lru_cache(maxsize=1)
@@ -327,66 +327,34 @@ def _walk_table(g: Graph) -> _WalkTable:
     return _WalkTable(g)
 
 
-def _check_states(
-    factorizations: Sequence[tuple[tuple[int, int], ...]], max_states: int
-) -> None:
-    """LimitExceeded when the factorizations have more than `max_states`
-    distinct sub-multisets, the empty one included."""
-    # f has at most 2^|f| sub-multisets, so count them only past that bound
-    if 1 + sum(1 << len(f) for f in factorizations) <= max_states:
-        return
-    units: dict[tuple[int, int], int] = {}
-    states = {0}
-    for f in factorizations:
-        subs = {0}
-        for e in f:
-            if e not in units:
-                units[e] = 1 << _BITS * len(units)
-            unit = units[e]
-            subs |= {x + unit for x in subs}
-        states |= subs
-        if len(states) > max_states:
-            raise LimitExceeded(f"even-connection search exceeds {max_states} states")
-
-
-def even_connections(
-    factorizations: Sequence[tuple[tuple[int, int], ...]],
-    g: Graph,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> tuple[tuple[int, int], ...]:
-    """All vertex pairs joined by a walk through some factorization, sorted.
+def even_connections(u: Monomial, g: Graph) -> tuple[tuple[int, int], ...]:
+    """All vertex pairs joined by a walk through some factorization of u, sorted.
 
     A walk p_0, ..., p_(2k+1) with k >= 1 takes graph edges at even steps
     (p_0 p_1, p_2 p_3, ...) and factorization edges at odd steps, each at
-    most its multiplicity in one of `factorizations` (tuples of edges);
-    vertices may repeat.  Pairs are unordered (min endpoint first) and
-    include x = x via closed walks.  Several factorizations give the union
-    of their pairs.
+    most its multiplicity in one factorization of u into edges; vertices may
+    repeat.  Pairs are unordered (min endpoint first) and include x = x via
+    closed walks.  The pairs of every factorization are joined; there are
+    none when u is no product of edges.
 
-    The pairs of a factorization f are Q(f) of the graph's `_WalkTable`,
-    kept for the last graph asked about, so the sub-multisets that other
-    factorizations, generators and powers of the same graph share are
-    walked once; past DEFAULT_MAX_STATES states the table is emptied after
-    the call.  `max_states` caps the number of distinct sub-multisets of
-    this call's factorizations, the empty one included, whether or not the
-    table already holds them.
+    The pairs are reach(u) of the graph's `_WalkTable`, kept for the last
+    graph asked about, so the monomials that other generators and powers of
+    the same graph share are walked once; past DEFAULT_MAX_STATES states the
+    table is emptied after the call.
     """
-    _check_states(factorizations, max_states)
+    if u.nvars != g.vertex_count:
+        raise ValueError("monomial universe does not match the graph")
     table = _walk_table(g)
-    link = 0
-    for f in factorizations:
-        link |= table.reach(tuple(f))
+    # a walk read backwards is a walk, so the upper triangle holds every pair
+    rest = table.state(_pack(u))[1] & table.upper
     table.trim()
-    # a walk read backwards is a walk, so link is symmetric
-    width = table.width
-    pairs = []
-    for a in g.vertices:
-        rest = (link >> a * width & (1 << width) - 1) >> a << a
-        while rest:
-            low = rest & -rest
-            pairs.append((a, low.bit_length() - 1))
-            rest ^= low
-    return tuple(pairs)
+    pairs = table.pairs
+    out = []
+    while rest:
+        low = rest & -rest
+        out.append(pairs[low.bit_length() - 1])
+        rest ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -402,16 +370,16 @@ class EvenColonResult:
 def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult:
     """I^s : u for u a generator of I^{s-1}, via even connections.
 
-    Builds I + (x_a x_b over even-connected pairs, x = y allowed), the pairs
-    found by one `even_connections` call over every factorization of u, and
-    compares it with the direct colon, generated by the quotients g : u
+    Builds I + (x_a x_b over the even-connected pairs of u, x = y allowed)
+    and compares it with the direct colon, generated by the quotients g : u
     over the generators g of I^s.  Equality is decided on the row of I^s
-    (`_Row.colon_is`) without forming the quotients: u * b must be a
-    generator for every walk-built generator b, and every generator must
-    reach u_a + b_a in each variable a of some b.  That test is exact here:
-    I^s is generated in degree 2s, deg u = 2s - 2 and deg b = 2, so b is a
-    quotient g : u only when g = u * b.  Only when it fails are the
-    quotients split, the direct colon minimalized and a witness sought.
+    (`_Row.quotients_generate`) without forming the quotients: u * x_a x_b must
+    be a generator for every edge and pair ab, and every generator must
+    reach u_a + 1 in x_a and u_b + 1 in x_b for one of them (u_a + 2 when
+    a = b).  That test is exact here: I^s is generated in degree 2s and
+    deg u = 2s - 2, so x_a x_b is a quotient g : u only when g = u * x_a x_b.
+    Only when it fails are the quotients split, the direct colon
+    minimalized and a witness sought.
     """
     if s < 2:
         raise ValueError("the colon comparison needs s >= 2")
@@ -419,23 +387,23 @@ def colon_via_even_connections(g: Graph, u: Monomial, s: int) -> EvenColonResult
         raise ValueError(
             f"{u.render()} has degree {u.degree()}, expected {2 * (s - 1)}"
         )
-    facs = _factorizations(u, g, s - 1)
-    if not facs:
+    if u.nvars != g.vertex_count:
+        raise ValueError("monomial universe does not match the graph")
+    pu = _pack(u)
+    if pu not in ordinary_power(g, s - 1).row.members:
         raise ValueError(
             f"{u.render()} is not in I^{s - 1} for the edge ideal I"
         )
     nv = g.vertex_count
-    pairs = even_connections(facs, g)
+    pairs = {(a - 1, b - 1) for a, b in (*g.edges, *even_connections(u, g))}
     # distinct monomials of degree 2 divide none of each other: descending
     # packed order is already canonical
     built = MonomialIdeal._from_minimal(nv, sorted(
-        {(1 << _BITS * (nv - a)) + (1 << _BITS * (nv - b)) for a, b in pairs}
-        | set(edge_ideal(g).packed),
+        {(1 << _BITS * (nv - 1 - a)) + (1 << _BITS * (nv - 1 - b)) for a, b in pairs},
         reverse=True,
     ))
     row = ordinary_power(g, s).row
-    pu = _pack(u)
-    if row.colon_is(pu, built.packed):
+    if row.quotients_generate(pu, pairs):
         direct, diff = built, None
     else:
         direct = MonomialIdeal._from_packed(nv, row.split(row.quotients(pu)))
@@ -518,24 +486,17 @@ def verify_leaf_lemma(g: Graph, lp: LeafPeelOrder, s: int) -> LemmaResult:
     packed = [_pack(u) for u in us]
     checked = 0
     for t, ut in enumerate(us):
-        seen_pairs: set[tuple[int, int]] = set()
         earlier = None  # the colons u_p : u_t for p < t, built on first use
-        for f in _factorizations(ut, g, s):
-            for a, b in even_connections((f,), g):
-                if a == b or a not in zset or b not in zset:
-                    continue
-                if g.has_edge(a, b):
-                    continue
-                if (a, b) in seen_pairs:
-                    continue
-                seen_pairs.add((a, b))
-                checked += 1
-                k_min = min(lp.z_index(a), lp.z_index(b))
-                z = lp.peeled[k_min - 1]
-                if earlier is None:
-                    earlier = {_colon(up, packed[t], guard) for up in packed[:t]}
-                if 1 << _BITS * (nv - z) not in earlier:
-                    return LemmaResult(order, checked, len(us), (ut, a, b, z))
+        for a, b in even_connections(ut, g):
+            if a == b or a not in zset or b not in zset or g.has_edge(a, b):
+                continue
+            checked += 1
+            k_min = min(lp.z_index(a), lp.z_index(b))
+            z = lp.peeled[k_min - 1]
+            if earlier is None:
+                earlier = {_colon(up, packed[t], guard) for up in packed[:t]}
+            if 1 << _BITS * (nv - z) not in earlier:
+                return LemmaResult(order, checked, len(us), (ut, a, b, z))
     return LemmaResult(order, checked, len(us))
 
 

@@ -25,18 +25,20 @@ one select gives every quotient g : d as a chunk, and one subtraction tests
 which generators divide a monomial.  A chunk c below 2^(W-1) is nonzero iff
 the top bit of c + 2^(W-1) - 1 is set, with no carry into the next chunk, so
 "some chunk is zero" is one addition and one mask over the whole row.
-A row also keeps, once asked, the set of its generators and masks with
-one bit per generator: those whose exponent of variable a is at least e
-(`_Row.at_least`), read off the byte column of variable a by one
-guarded subtraction.  Because the minimal generating set is unique and
-lies inside every generating set, whether the quotients g : d generate a
-known ideal is decided from these, without forming, splitting or
-minimalizing the quotients (`_Row.colon_is`); colon checks of one ideal
-by many divisors reuse the masks.  `contains` and `_quotient_supports`
-(the Betti facets) stay loops over the generators: few generators divide
-a given monomial, so the loops do little work, while a row form must split
-its result back into chunks; on the 2,585 `_quotient_supports` calls of
-the `reg-prime` tables a row form took 1.3-2.7x the loop's time.
+A row also keeps, once asked, the set of its generators and a table of
+masks with one bit per generator: t[a][e] holds those whose exponent of
+variable a is at least e (`_Row.thresholds`), each read off the byte
+column of variable a by one guarded subtraction, all columns from one
+byte string of the row.  Because the minimal generating set is unique and
+lies inside every generating set, whether the quotients g : d generate an
+ideal of products x_a x_b is decided from these by set and list lookups,
+without forming, splitting or minimalizing the quotients
+(`_Row.quotients_generate`); colon checks of one ideal by many divisors
+reuse the table.  `contains` and `_quotient_supports` (the Betti facets)
+stay loops over the generators: few generators divide a given monomial,
+so the loops do little work, while a row form must split its result back
+into chunks; on the 2,585 `_quotient_supports` calls of the `reg-prime`
+tables a row form took 1.3-2.7x the loop's time.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class _Row:
     """
 
     __slots__ = (
-        "nvars", "count", "row", "ones", "guards", "top", "fill", "_masks", "_members"
+        "nvars", "count", "row", "ones", "guards", "top", "fill", "_members", "_thresholds"
     )
 
     def __init__(self, gens: Sequence[int], nvars: int):
@@ -194,8 +196,8 @@ class _Row:
         self.guards = _guard(nvars) * self.ones
         self.top = self.ones << _BITS * nvars >> 1
         self.fill = self.top - self.ones
-        self._masks: dict[int, int] = {}
         self._members: frozenset[int] | None = None
+        self._thresholds: list[list[int]] | None = None
 
     def quotients(self, d: int) -> int:
         """The row of g : d over the generators g; no chunk has a guard bit."""
@@ -211,52 +213,60 @@ class _Row:
         t = ((p * self.ones | self.guards) - self.row) & self.guards
         return self.has_zero((t ^ self.guards) >> 1)
 
-    def at_least(self, a: int, e: int) -> int:
-        """The generators whose exponent of variable a (0-based) is at least
-        e, for 0 <= e <= MAX_EXPONENT: byte j (the first most significant)
-        holds a guard bit iff generator j does.  Kept on the row, keyed by
-        the packed x_a^e."""
-        key = e << _BITS * (self.nvars - 1 - a)
-        mask = self._masks.get(key)
-        if mask is None:
-            guards = _guard(self.count)
-            # byte j is g_j[a]; its guard bit survives subtracting e iff g_j[a] >= e
-            column = self.row.to_bytes(self.nvars * self.count, "big")[a :: self.nvars]
-            ones = guards >> _BITS - 1
-            mask = ((int.from_bytes(column, "big") | guards) - e * ones) & guards
-            self._masks[key] = mask
-        return mask
+    @property
+    def members(self) -> frozenset[int]:
+        """The generators as a set, built on first use."""
+        if self._members is None:
+            self._members = frozenset(self.split(self.row))
+        return self._members
 
-    def colon_is(self, d: int, kept: Iterable[int]) -> bool:
-        """The quotients g : d over the generators g generate the ideal whose
-        minimal generators are kept (packed, without guard bits), shown by:
-        (i) d * k is a generator for each k of kept, so k = (d * k) : d is a
-        quotient; (ii) each quotient is a multiple of some k, and g : d is a
-        multiple of k iff g_a >= d_a + k_a for every a in supp k.
+    @property
+    def thresholds(self) -> list[list[int]]:
+        """t[a][e]: the generators whose exponent of variable a (0-based) is
+        at least e, for e up to the largest such exponent, as a mask whose
+        byte j (the first most significant) holds a guard bit iff generator
+        j qualifies.  Built on first use."""
+        if self._thresholds is None:
+            every = _guard(self.count)
+            ones = every >> _BITS - 1
+            b = self.row.to_bytes(self.nvars * self.count, "big")
+            self._thresholds = []
+            for a in range(self.nvars):
+                # byte j is g_j[a]; its guard bit survives subtracting e iff g_j[a] >= e
+                column = b[a :: self.nvars]
+                guarded = int.from_bytes(column, "big") | every
+                self._thresholds.append(
+                    [(guarded - e * ones) & every for e in range(max(column, default=0) + 1)]
+                )
+        return self._thresholds
+
+    def quotients_generate(self, d: int, pairs: Iterable[tuple[int, int]]) -> bool:
+        """The quotients g : d over the generators g generate the ideal of the
+        x_a x_b over `pairs` (0-based variables a <= b), for d packed without
+        guard bits, shown by: (i) d * x_a x_b is a generator for each pair,
+        so x_a x_b is a quotient; (ii) each quotient is a multiple of some
+        x_a x_b, and g : d is one iff g_a >= d_a + 1 and g_b >= d_b + 1
+        (g_a >= d_a + 2 when a = b).
 
         A monomial ideal has a unique minimal generating set, and it lies
         inside every generating set, so (i) and (ii) give equality.  False
         means that (i) or (ii) fails.  When every generator has degree
-        deg d + deg k for every k, (i) is also necessary: g : d has degree at
-        least deg g - deg d, with equality only when d divides g.  Then
-        False means the quotients generate another ideal.
+        deg d + 2, (i) is also necessary: g : d has degree at least
+        deg g - deg d, with equality only when d divides g.  Then False
+        means the quotients generate another ideal.
         """
-        if self._members is None:
-            self._members = frozenset(self.split(self.row))
-        members, top = self._members, self.nvars - 1
-        every = _guard(self.count)
+        members, t, top = self.members, self.thresholds, self.nvars - 1
+        exps = d.to_bytes(self.nvars, "big")
         covered = 0
-        for k in kept:
-            p = d + k
-            if p not in members:
+        for a, b in pairs:
+            if d + (1 << _BITS * (top - a)) + (1 << _BITS * (top - b)) not in members:
                 return False
-            multiples = every
-            while k:
-                low = (k.bit_length() - 1) // _BITS  # k's top byte: variable top - low
-                k &= ~(0xFF << _BITS * low)
-                multiples &= self.at_least(top - low, p >> _BITS * low & 0xFF)
-            covered |= multiples
-        return covered == every
+            # that generator has d_a + 1 (d_a + 2 when a = b) in x_a: t[a] reaches it
+            if a == b:
+                covered |= t[a][exps[a] + 2]
+            else:
+                covered |= t[a][exps[a] + 1] & t[b][exps[b] + 1]
+        return covered == _guard(self.count)
 
     def split(self, x: int) -> set[int]:
         """The distinct chunks of the row x."""

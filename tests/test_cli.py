@@ -76,7 +76,7 @@ def test_non_ascii_vertex_count_exits_2(tmp_path, capsys, verb):
     assert main([verb, str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: expected 'n <count>'\n"
+    assert captured.err == f"error: {p}: line 1: expected 'n <count>'\n"
 
 
 def test_vertex_cap_is_checked_before_any_graph_is_built(tmp_path, capsys, monkeypatch):
@@ -98,7 +98,7 @@ def test_even_designated_cycle_exits_2(tmp_path, capsys, verb):
     assert main([verb, str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 6: designated cycle has even length 4\n"
+    assert captured.err == f"error: {p}: line 6: designated cycle has even length 4\n"
 
 
 @pytest.mark.parametrize("verb", ["check", "sympow", "reg", "invariants"])
@@ -109,7 +109,18 @@ def test_cycle_vertex_out_of_range_exits_2(tmp_path, capsys, verb, vertex):
     assert main([verb, str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: line 5: cycle vertex {vertex} outside 1..3\n"
+    assert captured.err == f"error: {p}: line 5: cycle vertex {vertex} outside 1..3\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "sympow", "reg", "invariants"])
+def test_format_error_names_the_second_file(tmp_path, capsys, c5_file, verb):
+    # the first file reads; the error is at line 5 of the second one
+    bad = tmp_path / "b.graph"
+    bad.write_text("n 3\ne 1 2\ne 2 3\ne 1 3\ne 1 4\n")
+    assert main([verb, c5_file, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 5: edge (1,4) outside 1..3\n"
 
 
 def test_sympow_output(c5_file, capsys):

@@ -31,7 +31,6 @@ from edgeideals.families import (
     random_graph,
     three_triangles,
 )
-from edgeideals.errors import LimitExceeded
 from edgeideals.graphs import CycleCertificate, Graph
 from edgeideals.monomials import (
     Monomial,
@@ -145,7 +144,7 @@ def test_generator_ordering_total_and_consistent():
 def test_even_connections_single_edge_cycle():
     c5 = cycle_graph(5)
     f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
-    pairs = even_connections([f.edges], c5)
+    pairs = even_connections(_mono("x1*x2", 5), c5)
     assert pairs == ((1, 2), (1, 5), (2, 3), (3, 5))
     # (3,5) through the walk 3-2-1-5
     assert _walk_pairs(f, c5) == list(pairs)
@@ -154,15 +153,13 @@ def test_even_connections_single_edge_cycle():
 def test_even_connections_self_pair():
     c5 = cycle_graph(5)
     u = _mono("x1*x2*x3*x4", 5)
-    f = enumerate_factorizations(u, c5, 2)[0]
-    assert (5, 5) in even_connections([f.edges], c5)  # 5-1-2-3-4-5
+    assert (5, 5) in even_connections(u, c5)  # 5-1-2-3-4-5
 
 
 def test_even_connections_isolated_edge():
     g = Graph(4, [(1, 2), (3, 4)])
-    f = enumerate_factorizations(_mono("x1*x2", 4), g, 1)[0]
     # only the bounce along the edge itself; nothing new for the colon
-    assert even_connections([f.edges], g) == ((1, 2),)
+    assert even_connections(_mono("x1*x2", 4), g) == ((1, 2),)
 
 
 def _walk_pairs(f, g: Graph, reuse: bool = False, max_steps: int = 0) -> list:
@@ -214,15 +211,22 @@ def test_even_connections_match_brute_force_walks():
             e = rng.choice(g.edges)
             gens += [_edge_power(e, k, g.vertex_count) for k in (2, 3) if k <= s - 1]
             for u in gens:
-                for f in enumerate_factorizations(u, g, s - 1):
-                    got = even_connections([f.edges], g)
-                    assert list(got) == _walk_pairs(f, g), (g.edges, f.edges)
-                    compared += 1
-    assert compared > 500
+                assert list(even_connections(u, g)) == _union_of_walk_pairs(u, g), (
+                    g.edges, u.render()
+                )
+                compared += 1
+    assert compared > 300, compared
+
+
+def _union_of_walk_pairs(u, g):
+    """The brute-force walk pairs of every factorization of u into edges."""
+    fs = enumerate_factorizations(u, g, u.degree() // 2)
+    return sorted({p for f in fs for p in _walk_pairs(f, g)})
 
 
 def test_even_connections_of_all_factorizations_match_brute_force():
-    # one call on every factorization of u gives the union of their walk pairs
+    # generators with several factorizations and with repeated edges: the
+    # pairs of u join those of every factorization
     rng = random.Random(_SEED + 3)
     compared, several, repeated = 0, 0, 0
     for _ in range(8):
@@ -239,10 +243,10 @@ def test_even_connections_of_all_factorizations_match_brute_force():
                         exps[b - 1] += 1
                     gens.append(Monomial(exps))
             for u in gens:
-                fs = enumerate_factorizations(u, g, s - 1)
-                facs = [f.edges for f in fs]
-                want = sorted({p for f in fs for p in _walk_pairs(f, g)})
-                assert list(even_connections(facs, g)) == want, (g.edges, u.render())
+                facs = [f.edges for f in enumerate_factorizations(u, g, s - 1)]
+                assert list(even_connections(u, g)) == _union_of_walk_pairs(u, g), (
+                    g.edges, u.render()
+                )
                 compared += 1
                 several += len(facs) > 1
                 repeated += any(k > 1 for k in Counter(facs[0]).values())
@@ -255,9 +259,9 @@ def test_even_connections_of_all_factorizations_match_brute_force():
                   (4, 5), (4, 7), (5, 6), (6, 7)])
     fs = enumerate_factorizations(_mono("x2*x3*x5*x6", 7), g, 2)
     assert [f.edges for f in fs] == [((2, 3), (5, 6)), ((2, 6), (3, 5))]
-    pairs = even_connections([f.edges for f in fs], g)
+    pairs = even_connections(_mono("x2*x3*x5*x6", 7), g)
     assert (1, 1) not in pairs
-    assert list(pairs) == sorted({p for f in fs for p in _walk_pairs(f, g)})
+    assert list(pairs) == _union_of_walk_pairs(_mono("x2*x3*x5*x6", 7), g)
 
 
 def _edge_power(e, k: int, nv: int) -> Monomial:
@@ -270,54 +274,30 @@ def test_even_connections_respect_edge_multiplicity():
     # 5-1-2-3-4-2-1-5 would close a walk at 5, but it crosses (1,2) twice
     # and the factorization (1,2)(3,4) holds it once
     g = Graph(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
-    f = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), g, 2)
-    f = next(h for h in f if h.edges == ((1, 2), (3, 4)))
-    pairs = even_connections([f.edges], g)
+    (f,) = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), g, 2)
+    assert f.edges == ((1, 2), (3, 4))
+    pairs = even_connections(_mono("x1*x2*x3*x4", 5), g)
     assert (5, 5) not in pairs
     assert list(pairs) == _walk_pairs(f, g)
     assert (5, 5) in _walk_pairs(f, g, reuse=True, max_steps=3)
 
 
-def test_even_connections_state_cap():
+def test_even_connections_of_a_monomial_that_is_no_product_of_edges():
+    # x1*x3 and x1*x2*x4 of C5 are no products of edges (x1*x2*x4 has x1*x2
+    # with x4 left over), nor is x1^2 of any graph: no walk, no pair
     c5 = cycle_graph(5)
-    f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
-    with pytest.raises(LimitExceeded, match="^even-connection search exceeds 1 states$"):
-        even_connections([f.edges], c5, max_states=1)
-    # the count is of used sub-multisets, the empty one included: two suffice here
-    assert even_connections([f.edges], c5, max_states=2) == even_connections([f.edges], c5)
-    # e^2 has three: {}, {e} and {e, e}
-    square = [((1, 2), (1, 2))]
-    with pytest.raises(LimitExceeded, match="^even-connection search exceeds 2 states$"):
-        even_connections(square, c5, max_states=2)
-    assert even_connections(square, c5, max_states=3) == even_connections(square, c5)
-    # factorizations that share sub-multisets count them once:
-    # {}, {a}, {b}, {c}, {a, b}, {a, c}
-    shared = [((1, 2), (3, 4)), ((1, 2), (4, 5))]
-    with pytest.raises(LimitExceeded, match="^even-connection search exceeds 5 states$"):
-        even_connections(shared, c5, max_states=5)
-    assert even_connections(shared, c5, max_states=6) == even_connections(shared, c5)
+    for text in ("x1*x3", "x1*x2*x4", "x1^2", "x3", "1"):
+        assert even_connections(_mono(text, 5), c5) == (), text
+    assert even_connections(_mono("x1*x4", 4), Graph(4, [(1, 2), (3, 4)])) == ()
 
 
-def test_even_connections_accept_pairs_that_are_not_edges():
-    # (1,3), (2,4) and (2,5) are not edges of C5, nor (1,4) and (2,3) of two
-    # disjoint edges; the pairs are those of the per-call program that the
-    # walk table replaced
+def test_even_connections_refuse_another_universe():
     c5 = cycle_graph(5)
-    assert even_connections([((1, 3),)], c5) == ((2, 2), (2, 4), (2, 5), (4, 5))
-    assert even_connections([((1, 3), (2, 4))], c5) == (
-        (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5),
-        (4, 5), (5, 5),
-    )
-    assert even_connections([((1, 2), (1, 3))], c5) == (
-        (1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5), (5, 5),
-    )
-    assert even_connections([((2, 5), (2, 5))], c5) == ((1, 1), (1, 3), (1, 4), (3, 4))
-    assert even_connections([((1, 3),), ((1, 2), (2, 4))], c5) == (
-        (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 5), (4, 5),
-    )
-    two = Graph(4, [(1, 2), (3, 4)])
-    assert even_connections([((1, 4),)], two) == ((2, 3),)
-    assert even_connections([((2, 3), (1, 4))], two) == ((1, 2), (1, 4), (2, 3), (3, 4))
+    for u in (_mono("x1*x2", 4), _mono("x1*x2", 6)):
+        with pytest.raises(ValueError, match="^monomial universe does not match the graph$"):
+            even_connections(u, c5)
+        with pytest.raises(ValueError, match="^monomial universe does not match the graph$"):
+            colon_via_even_connections(c5, u, 2)
 
 
 def _memo_cases():
@@ -331,9 +311,15 @@ def _memo_cases():
 def _memo_results(cases):
     out = {}
     for g, s, u in cases:
-        facs = [f.edges for f in enumerate_factorizations(u, g, s - 1)]
-        alone = [even_connections((f,), g) for f in facs]
-        out[g, s, u] = alone, even_connections(facs, g), colon_via_even_connections(g, u, s)
+        # the monomials next to u: u over one of its edges, u times one edge
+        near = [Monomial(x - (i in e) for i, x in enumerate(u, 1)) for e in g.edges
+                if all(u[v - 1] for v in e)]
+        near += [Monomial(x + (i in e) for i, x in enumerate(u, 1)) for e in g.edges[:2]]
+        out[g, s, u] = (
+            [even_connections(m, g) for m in near],
+            even_connections(u, g),
+            colon_via_even_connections(g, u, s),
+        )
     return out
 
 
@@ -356,23 +342,11 @@ def test_walk_table_memo_gives_the_fresh_results():
     assert _memo_results(same) == {c: fresh[c] for c in same}
 
 
-def test_state_cap_counts_per_call_once_the_table_holds_every_state():
-    c5 = cycle_graph(5)
-    facs = [f.edges for f in enumerate_factorizations(_mono("x1*x2*x3*x4", 5), c5, 2)]
-    assert facs == [((1, 2), (3, 4))]
-    want = even_connections(facs, c5)
-    for cap in (1, 3):
-        with pytest.raises(LimitExceeded, match=f"^even-connection search exceeds {cap} states$"):
-            even_connections(facs, c5, max_states=cap)
-    # {}, {a}, {b}, {a, b}
-    assert even_connections(facs, c5, max_states=4) == want
-
-
 def test_walk_table_cache_is_bounded():
     info = evenconnect._walk_table.cache_info()
     assert info.maxsize is not None
     for n in range(3, 3 + info.maxsize + 4):
-        even_connections([((1, 2),)], cycle_graph(n))
+        even_connections(Monomial((1, 1) + (0,) * (n - 2)), cycle_graph(n))
     assert evenconnect._walk_table.cache_info().currsize == info.maxsize
     evenconnect._walk_table.cache_clear()
     assert evenconnect._walk_table.cache_info().currsize == 0
@@ -380,18 +354,19 @@ def test_walk_table_cache_is_bounded():
 
 def test_walk_table_drops_its_states_past_the_bound(monkeypatch):
     g = cycle_graph(6)
-    facs = [evenconnect._factorizations(u, g, 2) for u in ordinary_power(g, 2).gens]
+    gens = ordinary_power(g, 2).gens
     evenconnect._walk_table.cache_clear()
-    want = [even_connections(f, g) for f in facs]
+    want = [even_connections(u, g) for u in gens]
     monkeypatch.setattr(evenconnect, "DEFAULT_MAX_STATES", 5)
     evenconnect._walk_table.cache_clear()
     table = evenconnect._walk_table(g)
     kept = []
-    for f, pairs in zip(facs, want):
-        assert even_connections(f, g) == pairs
+    for u, pairs in zip(gens, want):
+        assert even_connections(u, g) == pairs
         assert evenconnect._walk_table(g) is table
         kept.append(len(table.states))
-    # each call adds up to 4 states ({}, {a}, {b}, {a, b}); past 5 only {} is left
+    # each call adds up to 4 states (u and the u - e: x1*x2*x3*x4 has three
+    # edges); past 5 only the empty product 1 is left
     assert max(kept) <= 5 and kept.count(1) > 3, kept
     evenconnect._walk_table.cache_clear()
 
@@ -473,6 +448,9 @@ def test_colon_via_even_connections_deeper():
     message = re.escape("x1^2*x3^2 is not in I^2 for the edge ideal I")
     with pytest.raises(ValueError, match=message):
         colon_via_even_connections(c5, _mono("x1^2*x3^2", 5), 3)
+    # a product of one edge where I^2 needs two
+    with pytest.raises(ValueError, match=re.escape("x1*x2 has degree 2, expected 4")):
+        colon_via_even_connections(c5, _mono("x1*x2", 5), 3)
 
 
 def test_walk_built_colon_matches_monomial_sum():
@@ -483,14 +461,12 @@ def test_walk_built_colon_matches_monomial_sum():
             for u in ordinary_power(g, s - 1).gens:
                 res = colon_via_even_connections(g, u, s)
                 assert res.matches, (g.edges, u.render())
-                assert res.direct == _walk_built_colon(g, u, s), (g.edges, u.render())
+                assert res.direct == _walk_built_colon(g, u), (g.edges, u.render())
 
 
-def _walk_built_colon(g, u, s):
-    """I plus x_a x_b over the pairs that `even_connections` returns for
-    the factorizations of u."""
-    facs = [f.edges for f in enumerate_factorizations(u, g, s - 1)]
-    return _pair_colon(g, evenconnect.even_connections(facs, g))
+def _walk_built_colon(g, u):
+    """I plus x_a x_b over the pairs that `even_connections` returns for u."""
+    return _pair_colon(g, evenconnect.even_connections(u, g))
 
 
 def _pair_colon(g, pairs):
@@ -507,8 +483,9 @@ def _pair_colon(g, pairs):
 
 @pytest.mark.skipif(not EXTENDED, reason="set EDGEIDEALS_EXTENDED=1 for the s <= 5 sweep")
 def test_colons_match_brute_force_walks_up_to_s5():
-    # the colon rebuilt from brute-force walks equals the direct colon and
-    # colon_via_even_connections' result, on seeded connected graphs
+    # even_connections equals the brute-force walk pairs of every
+    # factorization, and the colon rebuilt from them equals the direct colon
+    # and colon_via_even_connections' result, on seeded connected graphs
     rng = random.Random(_SEED + 4)
     compared = 0
     for n in (4, 5, 5, 6, 6, 7, 7):
@@ -516,7 +493,8 @@ def test_colons_match_brute_force_walks_up_to_s5():
         for s in (2, 3, 4, 5):
             for u in ordinary_power(g, s - 1).gens:
                 res = colon_via_even_connections(g, u, s)
-                walks = {p for f in enumerate_factorizations(u, g, s - 1) for p in _walk_pairs(f, g)}
+                walks = _union_of_walk_pairs(u, g)
+                assert list(even_connections(u, g)) == walks, (g.edges, s, u.render())
                 assert res.matches, (g.edges, s, u.render())
                 assert res.direct == _pair_colon(g, walks), (g.edges, s, u.render())
                 compared += 1
@@ -527,7 +505,7 @@ def _reference_colon_result(g, u, s):
     """The EvenColonResult rebuilt from the minimalized direct colon and
     first_difference."""
     direct = ideal_colon(ordinary_power(g, s), u)
-    diff = first_difference(_walk_built_colon(g, u, s), direct)
+    diff = first_difference(_walk_built_colon(g, u), direct)
     side = None
     if diff is not None:
         side = "walk-built colon only" if diff[1] == "left" else "direct colon only"
@@ -546,9 +524,7 @@ def _reference_colon_result(g, u, s):
 )
 def test_colon_result_matches_minimalized_reference(monkeypatch, change, patched):
     real = evenconnect.even_connections
-    monkeypatch.setattr(
-        evenconnect, "even_connections", lambda f, g, **kw: change(real(f, g, **kw))
-    )
+    monkeypatch.setattr(evenconnect, "even_connections", lambda u, g: change(real(u, g)))
     rng = random.Random(_SEED + 1)
     graphs = [cycle_graph(5), two_paths_graph()[0]]
     graphs += [random_connected_graph(rng, rng.randint(4, 6), 0.5) for _ in range(4)]
@@ -660,6 +636,19 @@ def test_verify_leaf_lemma_vacuous_cases():
     res7 = verify_leaf_lemma(g7, lp7, 2)
     assert res7.failure is None
     assert res7.checked == 0
+
+
+def test_leaf_lemma_and_colon_chain_counts_on_a_triangle_with_two_pendant_paths():
+    # a triangle with two pendant 3-paths at vertex 1: the pairs the leaf
+    # lemma checks and the colons the chain checks, at s = 1, 2, 3
+    g = Graph(9, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 6), (1, 7), (7, 8), (8, 9)])
+    cd = CycleDecomposition.from_graph(g, [CycleCertificate.check(g, (1, 2, 3))])
+    lp = leaf_peel_order(cd)
+    leaf = [verify_leaf_lemma(g, lp, s) for s in (1, 2, 3)]
+    chain = [verify_colon_chain(g, cd, s, lp.order) for s in (1, 2, 3)]
+    assert [r.failure for r in leaf + chain] == [None] * 6
+    assert [r.checked for r in leaf] == [0, 2, 19]
+    assert [r.checked for r in chain] == [0, 8, 64]
 
 
 def test_verify_colon_chain_nonvacuous():

@@ -265,11 +265,24 @@ def test_prop_row_kernel_matches_per_generator_references(case):
     assert row.member(p) == _member(p, gens, guard)
 
 
-def _colon_is_reference(gens, d, other, nv):
-    """Whether d * k is one of gens for every minimal generator k of other,
-    and the quotients g : d over gens generate other (by minimalizing)."""
+def _pair_colon_reference(gens, d, pairs, nv):
+    """Whether d * x_a x_b is one of gens for every pair (0-based a <= b),
+    and the quotients g : d over gens generate the ideal of the x_a x_b (by
+    minimalizing)."""
+    units = [1 << _BITS * (nv - 1 - a) for a in range(nv)]
+    kept = {units[a] + units[b] for a, b in pairs}
     direct = MonomialIdeal._from_packed(nv, {_colon(g, d, _guard(nv)) for g in gens})
-    return all(d + k in set(gens) for k in other.packed) and other == direct
+    return all(d + k in set(gens) for k in kept) and MonomialIdeal._from_packed(nv, kept) == direct
+
+
+def _quadric_pairs(ideal):
+    """The pairs (a, b), 0-based a <= b, whose x_a x_b is a minimal generator."""
+    nv = ideal.nvars
+    units = [1 << _BITS * (nv - 1 - a) for a in range(nv)]
+    return [
+        (a, b) for a, b in itertools.combinations_with_replacement(range(nv), 2)
+        if units[a] + units[b] in ideal.packed
+    ]
 
 
 @settings(max_examples=2000 if EXTENDED else 300, deadline=None)
@@ -280,46 +293,50 @@ def test_prop_masks_and_colon_decision_match_references(case):
     width = _BITS * len(gens)
     for a in range(nv):
         column = [_unpack(g, nv)[a] for g in gens]
-        for e in [*range(min(max(column) + 3, MAX_EXPONENT)), MAX_EXPONENT]:
+        masks = row.thresholds[a]
+        assert len(masks) == max(column) + 1
+        for e, mask in enumerate(masks):
             # bit j: the guard bit of byte j, the first generator most significant
             want = sum(1 << width - _BITS * j - 1 for j, x in enumerate(column) if x >= e)
-            assert row.at_least(a, e) == want, (a, e)
-    # d, and gcd(d, g_0), which makes d * (g_0 : d) a generator
+            assert mask == want, (a, e)
+    # d, gcd(d, g_0), which makes d * (g_0 : d) a generator, and 1
     low = _pack([min(x, y) for x, y in zip(_unpack(d, nv), _unpack(gens[0], nv))])
-    ideal = MonomialIdeal._from_packed(nv, gens)
-    others = [ideal, MonomialIdeal.zero(nv), MonomialIdeal.unit(nv)]
-    for other in others:
-        assert ideal.row.colon_is(0, other.packed) == (other == ideal)
-    for c in (d, low):
+    every_pair = list(itertools.combinations_with_replacement(range(nv), 2))
+    for c in (d, low, 0):
         direct = MonomialIdeal._from_packed(nv, {_colon(g, c, _guard(nv)) for g in gens})
-        for other in (direct, *others):
-            assert row.colon_is(c, other.packed) == _colon_is_reference(gens, c, other, nv)
+        quadrics = _quadric_pairs(direct)
+        for pairs in (quadrics, quadrics[1:], every_pair, []):
+            want = _pair_colon_reference(gens, c, pairs, nv)
+            assert row.quotients_generate(c, pairs) == want, (c, pairs)
 
 
 def test_generates_agrees_with_minimalizing():
+    # ideals built as d times products x_a x_b, some times more, so that the
+    # quotients by d often generate exactly the ideal of those products
     rng = random.Random(_SEED + 9)
-    decided = 0
-    for _ in range(200):
+    decided = Counter()
+    for _ in range(300):
         nv = rng.randint(1, 5)
-        a = random_ideal(rng, nv, rng.randint(1, 6))
-        d = Monomial(tuple(rng.randint(0, 3) for _ in range(nv)))
-        q = a.row.quotients(_pack(d))
-        quotients = a.row.split(q)
-        assert quotients == {_colon(g, _pack(d), _guard(nv)) for g in a.packed}
-        direct = MonomialIdeal._from_packed(nv, quotients)
-        for other in (direct, a, random_ideal(rng, nv, rng.randint(1, 4)), MonomialIdeal.zero(nv)):
-            want = _colon_is_reference(a.packed, _pack(d), other, nv)
-            assert a.row.colon_is(_pack(d), other.packed) == want
-            decided += want
-        # one minimal generator missing from the set, the empty set, the unit added
-        for gens, b, want in (
-            (quotients - {direct.packed[0]}, direct, False),
-            ((), MonomialIdeal.zero(nv), True),
-            ({0, *quotients}, MonomialIdeal.unit(nv), True),
-        ):
-            row = _Row(sorted(gens), nv)
-            assert row.colon_is(0, b.packed) is want
-    assert decided > 20, decided
+        units = [1 << _BITS * (nv - 1 - a) for a in range(nv)]
+        d = _pack([rng.randint(0, 3) for _ in range(nv)])
+        every_pair = list(itertools.combinations_with_replacement(range(nv), 2))
+        pairs = rng.sample(every_pair, rng.randint(1, len(every_pair)))
+        gens = [d + units[a] + units[b] for a, b in pairs]
+        for _ in range(rng.randint(0, 3)):
+            base = rng.choice(gens) if rng.random() < 0.7 else d
+            gens.append(base + sum(rng.choices(units, k=rng.randint(1, 2))))
+        a = MonomialIdeal._from_packed(nv, gens)
+        q = a.row.quotients(d)
+        assert a.row.split(q) == {_colon(g, d, _guard(nv)) for g in a.packed}
+        extra = [rng.choice(every_pair)]
+        for probe in (pairs, pairs[1:], pairs + extra, _quadric_pairs(a), []):
+            want = _pair_colon_reference(a.packed, d, probe, nv)
+            assert a.row.quotients_generate(d, probe) is want, (nv, gens, d, probe)
+            decided[want] += 1
+        # a row that is not minimal: the generators with repeats
+        row = _Row(sorted(gens), nv)
+        assert row.quotients_generate(d, pairs) is _pair_colon_reference(gens, d, pairs, nv)
+    assert decided[True] > 100 and decided[False] > 100, decided
 
 
 def test_colon_decision_on_edge_ideal_powers():
@@ -339,19 +356,20 @@ def test_colon_decision_on_edge_ideal_powers():
                 pu = _pack(u)
                 true = MonomialIdeal._from_packed(nv, row.split(row.quotients(pu)))
                 assert all(_degree(k, nv) == 2 for k in true.packed)
-                pairs = itertools.combinations(units, 2)
-                outside = [x + y for x, y in pairs if x + y not in true.packed]
-                squares = [2 * x for x in units if 2 * x not in true.packed]
-                kinds = [("true", set(true.packed)), ("minus", set(true.packed[1:]))]
+                pairs = _quadric_pairs(true)
+                outside = [(a, b) for a, b in itertools.combinations(range(nv), 2)
+                           if (a, b) not in pairs]
+                squares = [(a, a) for a in range(nv) if (a, a) not in pairs]
+                kinds = [("true", pairs), ("minus", pairs[1:])]
                 if outside:
-                    kinds.append(("non-member", {*true.packed, rng.choice(outside)}))
+                    kinds.append(("non-member", [*pairs, rng.choice(outside)]))
                 if squares:
-                    kinds.append(("square", {*true.packed, rng.choice(squares)}))
+                    kinds.append(("square", [*pairs, rng.choice(squares)]))
                 for kind, kept in kinds:
-                    kept = sorted(kept, reverse=True)  # degree 2 only: already minimal
-                    want = MonomialIdeal._from_packed(nv, kept) == true
+                    ideal = MonomialIdeal._from_packed(nv, {units[a] + units[b] for a, b in kept})
+                    want = ideal == true
                     assert want == (kind == "true")
-                    assert row.colon_is(pu, kept) is want, (g.edges, s, u.render(), kind)
+                    assert row.quotients_generate(pu, kept) is want, (g.edges, s, u.render(), kind)
                     seen[kind] += 1
     assert min(seen.values()) > 100, seen
 

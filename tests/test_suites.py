@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import pytest
 
@@ -95,9 +94,10 @@ def test_edgeless_graph_skips_the_rows_that_compare_nothing():
 
 
 def test_even_connection_cap_skips_the_colon_rows(monkeypatch):
-    # every factorization has a start vertex with a second state, so a cap
-    # of one state stops every colon comparison
-    capped = functools.partial(evenconnect.even_connections, max_states=1)
+    # a walk search that hits a resource cap stops every colon comparison
+    def capped(u, g):
+        raise LimitExceeded("even-connection search exceeds 1 states")
+
     monkeypatch.setattr(evenconnect, "even_connections", capped)
     cfg = RunConfig(s_min=1, s_max=3, suites=("banerjee",))
     reports = run_suite(cfg, [GraphInstance(cycle_graph(5), (cycle_certificate(5),), "C5")])
@@ -126,9 +126,7 @@ def test_even_connection_cap_skips_the_colon_rows(monkeypatch):
 )
 def test_colon_rows_fail_on_wrong_even_connections(monkeypatch, change, side, witnesses):
     real = evenconnect.even_connections
-    monkeypatch.setattr(
-        evenconnect, "even_connections", lambda f, g, **kw: change(real(f, g, **kw))
-    )
+    monkeypatch.setattr(evenconnect, "even_connections", lambda u, g: change(real(u, g)))
     cfg = RunConfig(s_min=1, s_max=3, suites=("banerjee",))
     reports = run_suite(cfg, [GraphInstance(cycle_graph(5), (cycle_certificate(5),), "C5")])
     by = _by_check(reports)
