@@ -17,7 +17,6 @@ from .evenconnect import (
     EdgeOrder,
     colon_via_even_connections,
     even_connections,
-    enumerate_factorizations,
     generator_ordering,
     leaf_peel_order,
     verify_colon_chain,
@@ -75,7 +74,6 @@ __all__ = [
     "default_instances",
     "edge_ideal",
     "emit_report",
-    "enumerate_factorizations",
     "even_connections",
     "exit_code",
     "generator_ordering",

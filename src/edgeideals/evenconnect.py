@@ -1,13 +1,15 @@
-"""Edge factorizations, edge-wise lexicographic ordering, even-connection
-colons, and the mechanical ordering and colon-chain checks.
+"""Edge-wise lexicographic ordering, even-connection colons, and the
+mechanical ordering and colon-chain checks.
 
 A generator of the s-th power of an edge ideal is a product of s edges,
 usually in several ways; each way is an expression.  Expressions are
-compared through a fixed total order on the edges, monomials through
-their best expressions, and the colon of consecutive powers is rebuilt
-from the even-connected vertex pairs of its factorizations and compared
-against the directly computed colon.  Everything here is exhaustive search
-over desk-scale instances.  The checks return data (`LemmaResult`,
+compared through a fixed total order on the edges, and monomials through
+their maximal expressions, which one depth-first search finds as the first
+s edges, greatest first, that divide the monomial (`_expression_key`); no
+expression is listed.  The colon of consecutive powers is rebuilt from the
+even-connected vertex pairs of its generator and compared against the
+directly computed colon.  Everything here is exhaustive search over
+desk-scale instances.  The checks return data (`LemmaResult`,
 `EvenColonResult`); the suites turn it into report rows.
 
 The even-connected pairs of a generator u depend on u alone: they are the
@@ -26,7 +28,6 @@ it holds more than DEFAULT_MAX_STATES.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from .graphs import Graph
@@ -152,91 +153,64 @@ def leaf_peel_order(cd: CycleDecomposition) -> LeafPeelOrder:
     return LeafPeelOrder(order, tuple(peeled + isolated))
 
 
-@dataclass(frozen=True)
-class EdgeFactorization:
-    """A multiset of edges whose product divides the host monomial."""
-
-    edges: tuple[tuple[int, int], ...]
-    remainder: Monomial
-
-    def counts(self) -> dict[tuple[int, int], int]:
-        return dict(Counter(self.edges))
+def _fitted(order: EdgeOrder | None, g: Graph) -> EdgeOrder:
+    """`order`, or the default order of g; ValueError when it does not list
+    exactly the edges of g or ranks another number of variables."""
+    order = order or EdgeOrder.for_graph(g)
+    if sorted(order.edges) != list(g.edges) or len(order.variable_rank) != g.vertex_count:
+        raise ValueError("edge order does not match the graph")
+    return order
 
 
-def _factorizations(m: Monomial, g: Graph, s: int) -> list[tuple[tuple[int, int], ...]]:
-    """All multisets of s edges whose product divides m, as sorted edge tuples."""
-    if s < 0:
-        raise ValueError("negative power")
-    if m.nvars != g.vertex_count:
-        raise ValueError("monomial universe does not match the graph")
-    # an edge with an endpoint outside supp(m) never divides what is left
-    edges = [(u, v) for u, v in g.edges if m[u - 1] and m[v - 1]]
-    out: list[tuple[tuple[int, int], ...]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def rec(start: int, left: list[int], k: int) -> None:
-        if k == 0:
-            out.append(tuple(chosen))
-            return
-        if sum(left) < 2 * k:
-            return
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            if left[u - 1] >= 1 and left[v - 1] >= 1:
-                left[u - 1] -= 1
-                left[v - 1] -= 1
-                chosen.append((u, v))
-                rec(idx, left, k - 1)
-                chosen.pop()
-                left[u - 1] += 1
-                left[v - 1] += 1
-
-    rec(0, list(m), s)
-    return out
-
-
-def enumerate_factorizations(m: Monomial, g: Graph, s: int) -> list[EdgeFactorization]:
-    """All multisets of s edges whose product divides m, remainder recorded.
-
-    Empty exactly when m is outside the s-th power of the edge ideal.
-    When deg(m) = 2s the remainder is forced to 1 and the product is m.
-    """
-    out = []
-    for edges in _factorizations(m, g, s):
-        left = list(m)
-        for u, v in edges:
-            left[u - 1] -= 1
-            left[v - 1] -= 1
-        out.append(EdgeFactorization(edges, Monomial(left)))
-    return out
-
-
-def _ranked_exponents(m: Monomial, order: EdgeOrder) -> tuple[int, ...]:
-    return tuple(m[i] for i in order.variables_by_rank)
-
-
-def expression_key(f: EdgeFactorization, order: EdgeOrder):
-    """Sort key: edge-exponent vector over the order, then the ranked tail.
+def _expression_key(m: Monomial, g: Graph, s: int, order: EdgeOrder):
+    """Sort key of m's maximal expression as a product of s edges times a
+    leftover: (edge-exponent vector over order.edges, leftover exponents in
+    the variable order).
 
     Tuple comparison of keys is exactly the generator comparison: the edge
     part lexicographically over e_1 > e_2 > ..., ties broken by the
-    leftover factor compared lexicographically in the variable order.
+    leftover factor compared lexicographically in the variable order.  The
+    search takes the edges greatest first and follows each only by edges no
+    greater, so it meets the nondecreasing index sequences in lex order; the
+    first s edges whose product divides m have the greatest count vector,
+    which fixes the leftover.
     """
-    counts = f.counts()
-    vec = tuple(counts.get(e, 0) for e in order.edges)
-    return (vec, _ranked_exponents(f.remainder, order))
+    if s < 0:
+        raise ValueError("negative power")
+    n = g.vertex_count
+    if m.nvars != n:
+        raise ValueError("monomial universe does not match the graph")
+    guard = _guard(n)
+    # an edge with an end outside supp(m) never divides what is left; every
+    # edge has degree 2, so deg(m) >= 2s is the only degree bound
+    edges = [
+        (idx, (1 << _BITS * (n - u)) + (1 << _BITS * (n - v)))
+        for idx, (u, v) in enumerate(order.edges)
+        if m[u - 1] and m[v - 1]
+    ]
+    chosen: list[int] = []
 
+    def first(start: int, left: int, k: int) -> int | None:
+        if k == 0:
+            return left
+        for at in range(start, len(edges)):
+            idx, e = edges[at]
+            if (left | guard) - e & guard == guard:
+                chosen.append(idx)
+                found = first(at, left - e, k - 1)
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
 
-def maximal_expression(
-    m: Monomial, g: Graph, s: int, order: EdgeOrder | None = None
-) -> EdgeFactorization:
-    order = order or EdgeOrder.for_graph(g)
-    facs = enumerate_factorizations(m, g, s)
-    if not facs:
-        raise ValueError(
-            f"{m.render()} is not in I^{s} for the edge ideal I"
-        )
-    return max(facs, key=lambda f: expression_key(f, order))
+    left = first(0, _pack(m), s) if m.degree() >= 2 * s else None
+    if left is None:
+        raise ValueError(f"{m.render()} is not in I^{s} for the edge ideal I")
+    vec = [0] * len(order.edges)
+    for idx in chosen:
+        vec[idx] += 1
+    rest = left.to_bytes(n, "big")
+    return tuple(vec), tuple(rest[i] for i in order.variables_by_rank)
 
 
 def generator_ordering(
@@ -247,16 +221,14 @@ def generator_ordering(
         raise ValueError("the edge-power exponent must be at least 1")
     if r < 0:
         raise ValueError("negative tail degree")
-    order = order or EdgeOrder.for_graph(g)
+    order = _fitted(order, g)
     ideal = ordinary_power(g, s)
     if r:
         ideal = ideal_product(
             ideal, variable_power_ideal(g.vertex_count, range(g.vertex_count), r)
         )
     return tuple(sorted(
-        ideal.gens,
-        key=lambda m: expression_key(maximal_expression(m, g, s, order), order),
-        reverse=True,
+        ideal.gens, key=lambda m: _expression_key(m, g, s, order), reverse=True
     ))
 
 
@@ -527,6 +499,7 @@ def verify_colon_chain(
     constructed order) keep that same shape.  Needs a single designated
     cycle; `order` is its leaf-peel order.
     """
+    order = _fitted(order, g)
     k, _ = layer_index(s, cd.n)
     ideal = edge_ideal(g)
     terms = _muk_terms(g, cd, s)
@@ -543,13 +516,10 @@ def verify_colon_chain(
             if bad is not None:
                 return LemmaResult(order, checks, k, (i, f, False, q, *bad))
         # walk the layer generators in edgelex order against the partial sums
-        keyed = []
-        for f in cur_term.gens:
-            expr = maximal_expression(f, g, s - i, order)
-            keyed.append((expression_key(expr, order), f))
-        keyed.sort(key=lambda t: t[0], reverse=True)
         running: list[Monomial] = []
-        for _, u in keyed:
+        for u in sorted(
+            cur_term.gens, key=lambda f: _expression_key(f, g, s - i, order), reverse=True
+        ):
             base = ideal_sum(partial, MonomialIdeal(g.vertex_count, running))
             if contains(base, u):
                 running.append(u)

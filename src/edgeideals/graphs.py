@@ -375,13 +375,28 @@ def dominating_odd_cycles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     return bool(cycles) and all(neighborhoods(g, c.vertices) == all_vs for c in cycles)
 
 
+def _number(token: str) -> int | None:
+    """The value of a token of ASCII digits, else None.
+
+    int() alone would also take a sign, '_' and other scripts' digits, and
+    it refuses more digits than sys.get_int_max_str_digits() allows.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def parse_graph_text(
     text: str, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[Graph, tuple[CycleCertificate, ...]]:
     """Parse the graph text format: 'n <count>', 'e <u> <v>', 'c <v1> ... <vk>'.
 
-    Blank lines and '#' comments are ignored.  Each 'c' line must be an odd
-    cycle of the graph, all of one length.  Errors carry line numbers.  A
+    Blank lines and '#' comments are ignored.  Every number is ASCII digits
+    only.  Each 'c' line must be an odd cycle of the graph, all of one
+    length.  Errors carry line numbers.  A
     count above max_vertices raises LimitExceeded at its line, before any
     graph is built.
     """
@@ -398,9 +413,9 @@ def parse_graph_text(
         if tag == "n":
             if n is not None:
                 raise GraphFormatError(lineno, "duplicate n line")
-            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
+            n = _number(args[0]) if len(args) == 1 else None
+            if n is None:
                 raise GraphFormatError(lineno, "expected 'n <count>'")
-            n = int(args[0])
             if n > max_vertices:
                 raise LimitExceeded(
                     f"line {lineno}: {n} vertices exceed the {max_vertices} cap"
@@ -410,9 +425,8 @@ def parse_graph_text(
                 raise GraphFormatError(lineno, "edge before n line")
             if len(args) != 2:
                 raise GraphFormatError(lineno, "expected 'e <u> <v>'")
-            try:
-                u, v = int(args[0]), int(args[1])
-            except ValueError:
+            u, v = map(_number, args)
+            if u is None or v is None:
                 raise GraphFormatError(lineno, "edge endpoints must be integers")
             if u == v:
                 raise GraphFormatError(lineno, f"loop at vertex {u}")
@@ -426,9 +440,8 @@ def parse_graph_text(
         elif tag == "c":
             if n is None:
                 raise GraphFormatError(lineno, "cycle before n line")
-            try:
-                vs = tuple(int(a) for a in args)
-            except ValueError:
+            vs = tuple(map(_number, args))
+            if None in vs:
                 raise GraphFormatError(lineno, "cycle vertices must be integers")
             if len(vs) < 3:
                 raise GraphFormatError(lineno, "cycle needs at least 3 vertices")

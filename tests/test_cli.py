@@ -13,6 +13,8 @@ from edgeideals import graphs
 from edgeideals.cli import main
 from edgeideals.graphs import parse_graph_text
 
+EXTENDED = bool(os.environ.get("EDGEIDEALS_EXTENDED"))
+
 C5_TEXT = """\
 n 5
 e 1 2
@@ -77,6 +79,27 @@ def test_non_ascii_vertex_count_exits_2(tmp_path, capsys, verb):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {p}: line 1: expected 'n <count>'\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "sympow"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 3\ne +1 2\n", "line 2: edge endpoints must be integers"),
+        ("n 3\ne 1_0 2\n", "line 2: edge endpoints must be integers"),
+        ("n 3\ne 3 \u0661\n", "line 2: edge endpoints must be integers"),
+        ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 1 2 \u0663\n", "line 5: cycle vertices must be integers"),
+    ],
+    ids=["plus-sign", "underscore", "arabic-indic-edge", "arabic-indic-cycle"],
+)
+def test_non_ascii_digit_vertex_exits_2(tmp_path, capsys, verb, text, message):
+    # int() takes '+1', '1_0' and other scripts' digits; the file format does not
+    p = tmp_path / "digits.graph"
+    p.write_text(text, encoding="utf-8")
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: {message}\n"
 
 
 def test_vertex_cap_is_checked_before_any_graph_is_built(tmp_path, capsys, monkeypatch):
@@ -301,8 +324,20 @@ def test_large_prime_field_accepted(c5_file, capsys):
             ["--suite", "banerjee", "--s-max", "4"],
             "4aa159eabf4dfd752483b75d263241ec9d513e9e0faeed1c0c6eb12c63b0b87d",
         ),
+        # the ordering rows up to s = 4: 55 pass, 9 skipped, orders of up to
+        # 989 generators (about 2 s)
+        pytest.param(
+            ["--suite", "orderings", "--s-max", "4", "--max-generators", "2000"],
+            "ddeaf7193d1a3256d2a89b15ce8a4d6e939a054f75d6882cac6d044e87fa8b06",
+            marks=pytest.mark.skipif(
+                not EXTENDED, reason="set EDGEIDEALS_EXTENDED=1 for the s <= 4 orderings"
+            ),
+        ),
     ],
-    ids=["regularity", "all-suites", "default", "regularity-prime", "seed-7", "banerjee-s4"],
+    ids=[
+        "regularity", "all-suites", "default", "regularity-prime", "seed-7", "banerjee-s4",
+        "orderings-s4",
+    ],
 )
 def test_regularity_suite_report_bytes_pinned(tmp_path, suite_args, want):
     # sha256 of these reports; the bytes may only change on purpose.

@@ -12,12 +12,9 @@ from edgeideals.evenconnect import (
     EdgeOrder,
     EvenColonResult,
     colon_via_even_connections,
-    enumerate_factorizations,
     even_connections,
-    expression_key,
     generator_ordering,
     leaf_peel_order,
-    maximal_expression,
     verify_colon_chain,
     verify_leaf_lemma,
     verify_order_lemma,
@@ -60,27 +57,53 @@ def two_paths_graph():
     return cycle_with_paths(5, [(1, 2), (1, 2)])
 
 
-def test_enumerate_factorizations_examples():
+def _edgelex_key(m: Monomial, g: Graph, s: int):
+    """A generator's place in the edge-wise lex order: the key of its best expression."""
+    return evenconnect._expression_key(m, g, s, EdgeOrder.for_graph(g))
+
+
+def _vec(g: Graph, *edges) -> tuple[int, ...]:
+    """The edge-exponent vector of a product of edges over the default order of g."""
+    return tuple(edges.count(e) for e in EdgeOrder.for_graph(g).edges)
+
+
+def test_expression_key_examples():
     c5 = cycle_graph(5)
-    facs = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), c5, 2)
-    assert [f.edges for f in facs] == [((1, 2), (3, 4))]
-    assert facs[0].remainder.is_unit()
+    none = (0,) * 5
+    m = _mono("x1*x2*x3*x4", 5)
+    assert _unfiltered_factorizations(m, c5, 2) == [((1, 2), (3, 4))]
+    assert _edgelex_key(m, c5, 2) == (_vec(c5, (1, 2), (3, 4)), none)
 
-    facs = enumerate_factorizations(_mono("x1*x2^2*x3", 5), c5, 2)
-    assert [f.edges for f in facs] == [((1, 2), (2, 3))]
+    m = _mono("x1*x2^2*x3", 5)
+    assert _unfiltered_factorizations(m, c5, 2) == [((1, 2), (2, 3))]
+    assert _edgelex_key(m, c5, 2) == (_vec(c5, (1, 2), (2, 3)), none)
 
-    facs = enumerate_factorizations(_mono("x1^2*x2^2", 5), c5, 2)
-    assert [f.edges for f in facs] == [((1, 2), (1, 2))]
+    m = _mono("x1^2*x2^2", 5)
+    assert _unfiltered_factorizations(m, c5, 2) == [((1, 2), (1, 2))]
+    assert _edgelex_key(m, c5, 2) == (_vec(c5, (1, 2), (1, 2)), none)
 
-    assert enumerate_factorizations(_mono("x1^2*x3^2", 5), c5, 2) == []
+    m = _mono("x1^2*x3^2", 5)
+    assert _unfiltered_factorizations(m, c5, 2) == []
+    with pytest.raises(ValueError, match=re.escape("x1^2*x3^2 is not in I^2 for the edge ideal I")):
+        _edgelex_key(m, c5, 2)
 
-    # leftover degree is recorded when the monomial is larger than 2s
-    facs = enumerate_factorizations(_mono("x1*x2*x4", 5), c5, 1)
-    assert [(f.edges, f.remainder.render()) for f in facs] == [(((1, 2),), "x4")]
+    # the leftover is kept when the monomial is larger than 2s
+    m = _mono("x1*x2*x4", 5)
+    assert _unfiltered_factorizations(m, c5, 1) == [((1, 2),)]
+    assert _edgelex_key(m, c5, 1) == (_vec(c5, (1, 2)), (0, 0, 0, 1, 0))
 
-    unit = enumerate_factorizations(_mono("x3", 5), c5, 0)
-    assert len(unit) == 1 and unit[0].edges == ()
-    assert unit[0].remainder == _mono("x3", 5)
+    m = _mono("x3", 5)
+    assert _unfiltered_factorizations(m, c5, 0) == [()]
+    assert _edgelex_key(m, c5, 0) == (none, (0, 0, 1, 0, 0))
+
+    # the leftover is listed in the variable order, greatest variable first
+    ranked = EdgeOrder(EdgeOrder.for_graph(c5).edges, (4, 3, 2, 1, 0), "reversed-variables")
+    assert evenconnect._expression_key(_mono("x1*x2*x4", 5), c5, 1, ranked)[1] == (0, 1, 0, 0, 0)
+
+    with pytest.raises(ValueError, match="^negative power$"):
+        _edgelex_key(_mono("x3", 5), c5, -1)
+    with pytest.raises(ValueError, match="^monomial universe does not match the graph$"):
+        _edgelex_key(_mono("x1*x2", 4), c5, 1)
 
 
 def test_default_edge_order():
@@ -94,37 +117,37 @@ def test_default_edge_order():
         EdgeOrder(((1, 2),), (0, 2), "bad-ranks")
 
 
-def _edgelex_key(m: Monomial, g: Graph, s: int):
-    """A generator's place in the edge-wise lex order: the key of its best expression."""
-    order = EdgeOrder.for_graph(g)
-    return expression_key(maximal_expression(m, g, s, order), order)
-
-
 def test_edgelex_paper_example():
     c5 = cycle_graph(5)
-    left = maximal_expression(_mono("x4^2*x5^2", 5), c5, 2)
-    right = maximal_expression(_mono("x1^2*x5^2", 5), c5, 2)
-    assert left.edges == ((4, 5), (4, 5))
-    assert right.edges == ((1, 5), (1, 5))
-    assert _edgelex_key(_mono("x4^2*x5^2", 5), c5, 2) > _edgelex_key(_mono("x1^2*x5^2", 5), c5, 2)
+    left = _edgelex_key(_mono("x4^2*x5^2", 5), c5, 2)
+    right = _edgelex_key(_mono("x1^2*x5^2", 5), c5, 2)
+    assert left[0] == _vec(c5, (4, 5), (4, 5))
+    assert right[0] == _vec(c5, (1, 5), (1, 5))
+    assert left > right
 
     # equal edge parts, decided by the leftover factor: x1 beats x2
-    a, b = _mono("x1^2*x2", 5), _mono("x1*x2^2", 5)
-    assert maximal_expression(a, c5, 1).edges == maximal_expression(b, c5, 1).edges == ((1, 2),)
-    assert _edgelex_key(a, c5, 1) > _edgelex_key(b, c5, 1)
+    a, b = _edgelex_key(_mono("x1^2*x2", 5), c5, 1), _edgelex_key(_mono("x1*x2^2", 5), c5, 1)
+    assert a[0] == b[0] == _vec(c5, (1, 2))
+    assert a > b
 
     with pytest.raises(ValueError):
-        maximal_expression(_mono("x1^2*x3^2", 5), c5, 2)
+        _edgelex_key(_mono("x1^2*x3^2", 5), c5, 2)
 
 
 def test_maximal_expression_prefers_greater_edges():
     c5 = cycle_graph(5)
-    # x2x3x4x5 factors as (2,3)(4,5) and (3,4)... only those two pairs;
-    # the maximal one leads with the greatest edge (4,5)
-    best = maximal_expression(_mono("x2*x3*x4*x5", 5), c5, 2)
-    assert set(best.edges) == {(4, 5), (2, 3)}
+    # x2x3x4x5 factors as (2,3)(4,5) and (3,4) times x2*x5, which is no
+    # edge; the maximal expression leads with the greatest edge (4,5)
+    m = _mono("x2*x3*x4*x5", 5)
+    assert _unfiltered_factorizations(m, c5, 2) == [((2, 3), (4, 5))]
+    assert _edgelex_key(m, c5, 2)[0] == _vec(c5, (4, 5), (2, 3))
+    # x1*x2*x3*x4*x5^2 has six expressions, three with (4,5); of those,
+    # (2,3) is the greatest second edge
+    m = _mono("x1*x2*x3*x4*x5^2", 5)
+    assert len(_unfiltered_factorizations(m, c5, 2)) == 6
+    assert _edgelex_key(m, c5, 2) == (_vec(c5, (4, 5), (2, 3)), (1, 0, 0, 0, 1))
     with pytest.raises(ValueError):
-        maximal_expression(_mono("x1^2*x3^2", 5), c5, 2)
+        _edgelex_key(_mono("x1^2*x3^2", 5), c5, 2)
 
 
 def test_generator_ordering_total_and_consistent():
@@ -135,15 +158,42 @@ def test_generator_ordering_total_and_consistent():
     for i in range(len(us)):
         for j in range(i + 1, len(us)):
             assert keys[i] > keys[j], (i, j)
+    # deg u = 2s leaves no leftover, so the count vectors alone decrease
+    assert all(rest == (0,) * 5 for _, rest in keys)
+    assert [vec for vec, _ in keys] == sorted({vec for vec, _ in keys}, reverse=True)
     # the greatest generator is the square of the greatest edge
     assert us[0] == _mono("x4^2*x5^2", 5)
+    assert keys[0][0] == _vec(c5, (4, 5), (4, 5))
     with pytest.raises(ValueError):
         generator_ordering(c5, 0)
 
 
+def test_edge_orders_that_do_not_fit_the_graph_are_refused():
+    c5 = cycle_graph(5)
+    cd = CycleDecomposition.from_graph(c5, [cycle_certificate(5)])
+    edges = EdgeOrder.for_graph(c5).edges
+    bad = [
+        EdgeOrder(tuple(e for e in edges if e != (1, 2)), tuple(range(5)), "missing-edge"),
+        EdgeOrder(edges + ((1, 3),), tuple(range(5)), "non-edge"),
+        EdgeOrder(edges, (0, 1, 2), "three-ranks"),
+    ]
+    message = "^edge order does not match the graph$"
+    for order in bad:
+        with pytest.raises(ValueError, match=message):
+            generator_ordering(c5, 2, 0, order)
+        with pytest.raises(ValueError, match=message):
+            verify_order_lemma(c5, 2, 1, order)
+        with pytest.raises(ValueError, match=message):
+            verify_colon_chain(c5, cd, 3, order)
+    # any permutation of the edges and variables fits
+    shuffled = EdgeOrder(edges[::-1], (4, 0, 3, 1, 2), "shuffled")
+    assert len(generator_ordering(c5, 2, 0, shuffled)) == 15
+    assert verify_colon_chain(c5, cd, 3, shuffled).failure is None
+
+
 def test_even_connections_single_edge_cycle():
     c5 = cycle_graph(5)
-    f = enumerate_factorizations(_mono("x1*x2", 5), c5, 1)[0]
+    (f,) = _unfiltered_factorizations(_mono("x1*x2", 5), c5, 1)
     pairs = even_connections(_mono("x1*x2", 5), c5)
     assert pairs == ((1, 2), (1, 5), (2, 3), (3, 5))
     # (3,5) through the walk 3-2-1-5
@@ -162,15 +212,44 @@ def test_even_connections_isolated_edge():
     assert even_connections(_mono("x1*x2", 4), g) == ((1, 2),)
 
 
+def _unfiltered_factorizations(m, g, s):
+    """Every multiset of s edges whose product divides m, as sorted edge
+    tuples, by a recursion over every edge of g: the oracle for the maximal
+    expressions and the brute-force walks."""
+    edges = g.edges
+    out, chosen = [], []
+
+    def rec(start, left, k):
+        if k == 0:
+            out.append(tuple(chosen))
+            return
+        if sum(left) < 2 * k:
+            return
+        for idx in range(start, len(edges)):
+            u, v = edges[idx]
+            if left[u - 1] >= 1 and left[v - 1] >= 1:
+                left[u - 1] -= 1
+                left[v - 1] -= 1
+                chosen.append((u, v))
+                rec(idx, left, k - 1)
+                chosen.pop()
+                left[u - 1] += 1
+                left[v - 1] += 1
+
+    rec(0, list(m), s)
+    return out
+
+
 def _walk_pairs(f, g: Graph, reuse: bool = False, max_steps: int = 0) -> list:
     """Endpoints of every walk p_0, ..., p_(2k+1) with k >= 1, by brute force.
 
     Steps p_0 p_1, p_2 p_3, ... are graph edges and steps p_1 p_2, ... edges
-    of the factorization, each used at most its multiplicity; with `reuse`
-    they may repeat freely, up to `max_steps` factorization steps in all.
+    of the factorization f (a tuple of edges), each used at most its
+    multiplicity; with `reuse` they may repeat freely, up to `max_steps`
+    factorization steps in all.
     """
-    left = Counter(f.edges)
-    limit = max_steps if reuse else len(f.edges)
+    left = Counter(f)
+    limit = max_steps if reuse else len(f)
     pairs = set()
 
     def walk(start: int, at: int, steps: int) -> None:
@@ -220,7 +299,7 @@ def test_even_connections_match_brute_force_walks():
 
 def _union_of_walk_pairs(u, g):
     """The brute-force walk pairs of every factorization of u into edges."""
-    fs = enumerate_factorizations(u, g, u.degree() // 2)
+    fs = _unfiltered_factorizations(u, g, u.degree() // 2)
     return sorted({p for f in fs for p in _walk_pairs(f, g)})
 
 
@@ -243,7 +322,7 @@ def test_even_connections_of_all_factorizations_match_brute_force():
                         exps[b - 1] += 1
                     gens.append(Monomial(exps))
             for u in gens:
-                facs = [f.edges for f in enumerate_factorizations(u, g, s - 1)]
+                facs = _unfiltered_factorizations(u, g, s - 1)
                 assert list(even_connections(u, g)) == _union_of_walk_pairs(u, g), (
                     g.edges, u.render()
                 )
@@ -257,8 +336,8 @@ def test_even_connections_of_all_factorizations_match_brute_force():
     # single factorization even-connects x1 to itself
     g = Graph(7, [(1, 2), (1, 4), (1, 7), (2, 3), (2, 6), (3, 4), (3, 5), (3, 6),
                   (4, 5), (4, 7), (5, 6), (6, 7)])
-    fs = enumerate_factorizations(_mono("x2*x3*x5*x6", 7), g, 2)
-    assert [f.edges for f in fs] == [((2, 3), (5, 6)), ((2, 6), (3, 5))]
+    fs = _unfiltered_factorizations(_mono("x2*x3*x5*x6", 7), g, 2)
+    assert fs == [((2, 3), (5, 6)), ((2, 6), (3, 5))]
     pairs = even_connections(_mono("x2*x3*x5*x6", 7), g)
     assert (1, 1) not in pairs
     assert list(pairs) == _union_of_walk_pairs(_mono("x2*x3*x5*x6", 7), g)
@@ -274,8 +353,8 @@ def test_even_connections_respect_edge_multiplicity():
     # 5-1-2-3-4-2-1-5 would close a walk at 5, but it crosses (1,2) twice
     # and the factorization (1,2)(3,4) holds it once
     g = Graph(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
-    (f,) = enumerate_factorizations(_mono("x1*x2*x3*x4", 5), g, 2)
-    assert f.edges == ((1, 2), (3, 4))
+    (f,) = _unfiltered_factorizations(_mono("x1*x2*x3*x4", 5), g, 2)
+    assert f == ((1, 2), (3, 4))
     pairs = even_connections(_mono("x1*x2*x3*x4", 5), g)
     assert (5, 5) not in pairs
     assert list(pairs) == _walk_pairs(f, g)
@@ -371,35 +450,27 @@ def test_walk_table_drops_its_states_past_the_bound(monkeypatch):
     evenconnect._walk_table.cache_clear()
 
 
-def _unfiltered_factorizations(m, g, s):
-    """The recursion over every edge of g, as it was before it skipped the
-    edges outside supp(m)."""
-    edges = g.edges
-    out, chosen = [], []
-
-    def rec(start, left, k):
-        if k == 0:
-            out.append(tuple(chosen))
-            return
-        if sum(left) < 2 * k:
-            return
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            if left[u - 1] >= 1 and left[v - 1] >= 1:
-                left[u - 1] -= 1
-                left[v - 1] -= 1
-                chosen.append((u, v))
-                rec(idx, left, k - 1)
-                chosen.pop()
-                left[u - 1] += 1
-                left[v - 1] += 1
-
-    rec(0, list(m), s)
-    return out
+def _greatest_key(m, g, s, order):
+    """The greatest (edge-exponent vector, ranked leftover) over every
+    factorization of m into s edges; None when there is none."""
+    keys = []
+    for f in _unfiltered_factorizations(m, g, s):
+        left = list(m)
+        for u, v in f:
+            left[u - 1] -= 1
+            left[v - 1] -= 1
+        keys.append((
+            tuple(f.count(e) for e in order.edges),
+            tuple(left[i] for i in order.variables_by_rank),
+        ))
+    return max(keys, default=None)
 
 
-def test_factorizations_match_the_unfiltered_recursion():
+def test_expression_key_is_the_max_over_every_factorization():
     rng = random.Random(_SEED + 7)
+    # the orders come from their own stream, so the cases (g, m, s) stay
+    # those the factorization recursion was tested on
+    order_rng = random.Random(_SEED + 8)
     found, several = 0, 0
     for _ in range(5000):
         g = random_graph(rng, rng.randint(2, 8), rng.choice((0.3, 0.5, 0.8)))
@@ -415,10 +486,21 @@ def test_factorizations_match_the_unfiltered_recursion():
         for _ in range(extra):
             exps[rng.randrange(g.vertex_count)] += 1
         m = Monomial(exps)
-        got = evenconnect._factorizations(m, g, s)
-        assert got == _unfiltered_factorizations(m, g, s), (g.edges, m.render(), s)
-        found += bool(got)
-        several += len(got) > 1
+        edges = list(g.edges)
+        order_rng.shuffle(edges)
+        ranks = list(range(g.vertex_count))
+        order_rng.shuffle(ranks)
+        order = EdgeOrder(tuple(edges), tuple(ranks), "shuffled")
+        want = _greatest_key(m, g, s, order)
+        if want is None:
+            with pytest.raises(ValueError, match="is not in I\\^"):
+                evenconnect._expression_key(m, g, s, order)
+        else:
+            assert evenconnect._expression_key(m, g, s, order) == want, (
+                g.edges, order.edges, m.render(), s
+            )
+        found += want is not None
+        several += len(_unfiltered_factorizations(m, g, s)) > 1
     assert found > 2500 and several > 500, (found, several)
 
 

@@ -233,10 +233,23 @@ def test_parse_graph_text_roundtrip_and_errors():
         # a cycle vertex outside 1..n is a format error, not a crash
         ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 7 1 2\n", 5),
         ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 0 1 2\n", 5),
+        # numbers are ASCII digits only: no sign, no '_', no other script's
+        # digits, and no more digits than int() converts
+        ("n 3\ne +1 2\n", 2),
+        ("n 3\ne 1_0 2\n", 2),
+        ("n 3\ne 3 \u0661\n", 2),
+        ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 1 2 \u0663\n", 5),
+        ("n 3\ne -1 2\n", 2),
+        ("n " + "1" * 5000 + "\n", 1),
+        ("n 3\ne " + "1" * 5000 + " 2\n", 2),
+        ("n 3\ne 1 2\ne 2 3\ne 1 3\nc 1 2 " + "3" * 5000 + "\n", 5),
     ]:
         with pytest.raises(GraphFormatError) as exc:
             parse_graph_text(bad)
         assert exc.value.line_number == lineno
+    # leading zeros are still ASCII digits
+    g, cycles = parse_graph_text("n 03\ne 01 2\ne 2 3\ne 1 3\nc 1 02 3\n")
+    assert g.edges == ((1, 2), (1, 3), (2, 3)) and cycles[0].length == 3
 
     # designated cycles must be odd, and all of one length
     c4 = "n 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
