@@ -14,8 +14,10 @@ byte); the guard bits left set, spread over their bytes, select lcm and
 colon per variable; a product is a + b, overflowed iff a guard bit is set;
 the degree is the byte sum, and the canonical order is (degree, -p).
 
-Minimalizing buckets the packed candidates by degree and tests each only
-against the generators kept at lower degrees.
+Minimalizing buckets the packed candidates by degree and tests each
+bucket's candidates against one row (below) of the generators kept at lower
+degrees: a few operations on the whole row per candidate, in place of a loop
+over the kept generators.
 
 An ideal's generators also sit side by side in one int, its row (`_Row`,
 kept on the ideal once read): generator j fills chunk j of W = 8 * nvars
@@ -305,17 +307,29 @@ def _quotient_supports(b: int, gens: Iterable[int], guard: int) -> set[int]:
     return out
 
 
-def _of_degree(nvars: int, t: int, variables: Sequence[int]) -> set[int]:
-    """Every packed monomial of degree t in the chosen variables (0-based)."""
-    if t < 0:
-        raise ValueError("negative degree")
+def _units(nvars: int, variables: Iterable[int]) -> list[int]:
+    """The packed variables x_v for the chosen variables v (0-based)."""
+    out = []
     for v in variables:
         if not 0 <= v < nvars:
             raise ValueError(f"variable index {v} outside universe of size {nvars}")
-    if t > MAX_EXPONENT and variables:
+        out.append(1 << _BITS * (nvars - 1 - v))
+    return out
+
+
+def _fill(units: Sequence[int], t: int) -> list[int]:
+    """Every product of t of the packed variables `units` (distinct), each once;
+    LimitExceeded before any is built when t exceeds MAX_EXPONENT."""
+    if t > MAX_EXPONENT and units:
         raise LimitExceeded(_OVERFLOW)
-    units = [1 << _BITS * (nvars - 1 - v) for v in variables]
-    return {sum(c) for c in itertools.combinations_with_replacement(units, t)}
+    return [sum(c) for c in itertools.combinations_with_replacement(units, t)]
+
+
+def _of_degree(nvars: int, t: int, variables: Sequence[int]) -> list[int]:
+    """Every packed monomial of degree t in the chosen variables (0-based), once."""
+    if t < 0:
+        raise ValueError("negative degree")
+    return _fill(sorted(set(_units(nvars, variables))), t)
 
 
 def _minimal(gens: Collection[int], nvars: int) -> tuple[int, ...]:
@@ -324,9 +338,10 @@ def _minimal(gens: Collection[int], nvars: int) -> tuple[int, ...]:
     They come back in canonical order.  The distinct candidates are bucketed
     by degree; the buckets are walked upward, each in descending packed
     order, and a candidate is kept unless a generator kept at a lower degree
-    divides it: distinct monomials of one degree never divide each other.
-    A packed product whose exponent overflowed carries a guard bit and
-    raises LimitExceeded here, whether or not a kept generator divides it.
+    divides it, tested on one row of those generators per bucket: distinct
+    monomials of one degree never divide each other.  A packed product whose
+    exponent overflowed carries a guard bit and raises LimitExceeded here,
+    whether or not a kept generator divides it.
     """
     guard = _guard(nvars)
     buckets: dict[int, list[int]] = {}
@@ -336,15 +351,11 @@ def _minimal(gens: Collection[int], nvars: int) -> tuple[int, ...]:
         buckets.setdefault(sum(p.to_bytes(nvars, "big")), []).append(p)
     kept: list[int] = []
     for d in sorted(buckets):
-        fresh = []
-        for c in sorted(buckets[d], reverse=True):
-            cg = c | guard
-            for k in kept:
-                if (cg - k) & guard == guard:
-                    break
-            else:
-                fresh.append(c)
-        kept += fresh
+        bucket = sorted(buckets[d], reverse=True)
+        if kept:
+            member = _Row(kept, nvars).member
+            bucket = [c for c in bucket if not member(c)]
+        kept += bucket
     return tuple(kept)
 
 
@@ -577,30 +588,47 @@ def variable_power_ideal(
     return MonomialIdeal._from_packed(nvars, _of_degree(nvars, t, tuple(variables)))
 
 
-def _meet_prime_power(a: MonomialIdeal, variables: Sequence[int], t: int) -> MonomialIdeal:
-    """a intersected with the t-th power of the prime of the chosen variables (0-based).
+def _meet(packed: Sequence[int], nvars: int, units: Sequence[int], t: int) -> tuple[int, ...]:
+    """The minimal generators, in canonical order, of (packed) intersected
+    with the t-th power of the prime of the packed variables `units`
+    (distinct), for `packed` minimal and in canonical order.
 
-    A monomial lies in that power exactly when its degree in the chosen
-    variables is >= t, so each minimal generator g of a either survives
-    as-is or, short by a deficit d, contributes g * (every monomial of
-    degree d in the chosen variables); each deficit's monomials are built
-    once, and the result is minimalized once.
+    A monomial lies in that power exactly when its degree in those variables
+    is >= t, so each generator g either survives as-is or, short by a
+    deficit d, contributes g * (every product of d of the variables); each
+    deficit's products are built once.  A survivor of degree above t there
+    is kept without a test and left out of the minimalization: a product
+    g' * w dividing it would make g' divide it, against the minimality of
+    (packed), and it divides no other generator of (packed) and no product,
+    whose degree there is t.  The rest is minimalized once, and those
+    survivors are merged back in.
     """
-    nv = a.nvars
-    chosen = set(variables)
-    mask = int.from_bytes(bytes(MAX_EXPONENT if i in chosen else 0 for i in range(nv)), "big")
-    fills: dict[int, set[int]] = {}
-    gens: set[int] = set()
-    for g in a.packed:
-        deficit = t - _degree(g & mask, nv)
-        if deficit <= 0:
-            gens.add(g)
+    mask = sum(units) * MAX_EXPONENT
+    fills: dict[int, list[int]] = {}
+    above: list[int] = []
+    gens: list[int] = []
+    for g in packed:
+        deficit = t - _degree(g & mask, nvars)
+        if deficit < 0:
+            above.append(g)
+            continue
+        if deficit == 0:
+            gens.append(g)
             continue
         fill = fills.get(deficit)
         if fill is None:
-            fill = fills[deficit] = _of_degree(nv, deficit, variables)
-        gens.update(g + w for w in fill)
-    return MonomialIdeal._from_packed(nv, gens)
+            fill = fills[deficit] = _fill(units, deficit)
+        gens += [g + w for w in fill]
+    rest = _minimal(gens, nvars)
+    if not above:
+        return rest
+    return tuple(sorted(above + list(rest), key=lambda p: (_degree(p, nvars), -p)))
+
+
+def _meet_prime_power(a: MonomialIdeal, variables: Sequence[int], t: int) -> MonomialIdeal:
+    """a intersected with the t-th power of the prime of the chosen variables (0-based)."""
+    units = sorted(set(_units(a.nvars, variables)))
+    return MonomialIdeal._from_minimal(a.nvars, _meet(a.packed, a.nvars, units, t))
 
 
 def intersect_with_m_power(a: MonomialIdeal, t: int) -> MonomialIdeal:

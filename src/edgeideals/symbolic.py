@@ -2,10 +2,13 @@
 
 The ground truth for I^(s) is always the intersection of the s-th powers
 of the minimal-cover primes (edge ideals are radical, so the minimal
-covers carry the whole associated set).  It is taken one cover at a time:
-a monomial lies in (W)^s exactly when its degree in W's variables is at
-least s, so each generator either stays or is raised by every W-monomial
-of its deficit.  The structured sums built here are verified against that
+covers carry the whole associated set).  The covers of the last graph asked
+about are kept as a table of each prime's packed variables, so I^(1),
+I^(2), ... of one graph enumerate them once.  The intersection is taken one
+cover at a time on packed generators: a monomial lies in (W)^s exactly when
+its degree in W's variables is at least s, so each generator either stays
+or is raised by every W-monomial of its deficit, and no ideal is built
+between covers.  The structured sums built here are verified against that
 oracle, never the other way round.
 """
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import LimitExceeded
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     CycleCertificate,
@@ -24,9 +28,11 @@ from .graphs import (
     neighborhoods,
 )
 from .monomials import (
+    MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
-    _meet_prime_power,
+    _meet,
+    _units,
     alpha_degree,
     first_difference,
     ideal_contains,
@@ -38,44 +44,69 @@ from .monomials import (
 )
 
 
-def edge_monomial(g: Graph, edge) -> Monomial:
-    u, v = edge
-    exps = [0] * g.vertex_count
-    exps[u - 1] += 1
-    exps[v - 1] += 1
-    return Monomial(exps)
-
-
 @lru_cache(maxsize=None)
 def edge_ideal(g: Graph) -> MonomialIdeal:
-    """I(G), generated by x_u x_v over the edges of G."""
-    return MonomialIdeal(g.vertex_count, [edge_monomial(g, e) for e in g.edges])
+    """I(G), generated by x_u x_v over the edges of G.
+
+    Distinct squarefree products of two variables never divide each other,
+    and one degree in descending packed order is canonical order.
+    """
+    x = _units(g.vertex_count, range(g.vertex_count))
+    return MonomialIdeal._from_minimal(
+        g.vertex_count, sorted((x[u - 1] + x[v - 1] for u, v in g.edges), reverse=True)
+    )
 
 
 @lru_cache(maxsize=None)
 @lru_cache(maxsize=None)
 def ordinary_power(g: Graph, s: int) -> MonomialIdeal:
+    """I(G)^s, for s >= 2 the product of the cached I(G)^(s-1) with I(G)."""
     if s < 0:
         raise ValueError("negative power")
-    return ideal_power(edge_ideal(g), s)
+    if s < 2 or g.is_edgeless():
+        return ideal_power(edge_ideal(g), s)
+    if s > MAX_EXPONENT:
+        # (x_u x_v)^s is a minimal generator: refuse before building I^(s-1)
+        raise LimitExceeded(
+            f"I^{s} has an exponent above {MAX_EXPONENT}, the packed-monomial limit"
+        )
+    return ideal_product(ordinary_power(g, s - 1), edge_ideal(g))
+
+
+@lru_cache(maxsize=1)
+def _cover_primes(g: Graph, max_vertices: int) -> tuple[tuple[int, ...], ...] | None:
+    """The packed variables of each minimal cover, in cover order; None when
+    G has no edges.
+
+    Kept for the last graph asked about, as the walk table is: callers
+    finish one graph before they start the next, so the powers of one graph
+    enumerate its covers once.  The bound is part of the key and is checked
+    on every miss.
+    """
+    covers = minimal_vertex_covers(g, max_vertices)
+    if covers.edgeless:
+        return None
+    x = _units(g.vertex_count, range(g.vertex_count))
+    return tuple(tuple(x[v - 1] for v in w) for w in covers.covers)
 
 
 @lru_cache(maxsize=None)
 def symbolic_power(g: Graph, s: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> MonomialIdeal:
     """I(G)^(s) as the intersection over minimal covers W of (W)^s.
 
-    The unit ideal is met with one (W)^s at a time, in cover order, so the
-    first step gives the first cover's power itself.
+    The unit ideal is met with one (W)^s at a time, in cover order, on
+    packed generators (`_meet`), so the first step gives the first cover's
+    power itself and only the result becomes an ideal.
     """
     if s < 1:
         raise ValueError("symbolic power needs s >= 1")
-    covers = minimal_vertex_covers(g, max_vertices)
-    if covers.edgeless:
+    primes = _cover_primes(g, max_vertices)
+    if primes is None:
         return MonomialIdeal.zero(g.vertex_count)
-    out = MonomialIdeal.unit(g.vertex_count)
-    for w in covers.covers:
-        out = _meet_prime_power(out, [v - 1 for v in w], s)
-    return out
+    packed: tuple[int, ...] = (0,)
+    for units in primes:
+        packed = _meet(packed, g.vertex_count, units, s)
+    return MonomialIdeal._from_minimal(g.vertex_count, packed)
 
 
 @dataclass(frozen=True)

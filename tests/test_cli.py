@@ -292,6 +292,21 @@ def test_invalid_option_values_exit_2(c5_file, capsys, args, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--s-min", "200", "--s-max", "200"],
+        ["--s-min", "1000", "--s-max", "1000", "--suite", "banerjee"],
+    ],
+)
+def test_check_past_the_exponent_limit_exits_2(c5_file, capsys, args):
+    # I^s has (x_u x_v)^s among its generators: refused at once, not after building I^127
+    assert main(["check", c5_file, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above 127, the packed-monomial limit" in captured.err
+
+
 def test_large_prime_field_accepted(c5_file, capsys):
     assert main(["reg", c5_file, "--s-max", "1", "--field", "2147483647"]) == 0
     assert "regularity 3 (prime)" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.betti import lcm_closure
@@ -209,6 +209,14 @@ def _packed_candidates(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_packed_candidates())
+# several degree buckets: the kept row holds one generator, then many
+@example((2, [_pack(e) for e in [(1, 0), (1, 1), (0, 2), (2, 0), (0, 3), (2, 1)]]))
+@example((3, [_pack(e) for e in [
+    (1, 0, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2), (1, 1, 1), (0, 3, 0), (0, 2, 2),
+    (2, 0, 1), (0, 1, 3), (0, 0, 4), (3, 3, 3), (1, 0, 2), (0, 4, 1),
+]]))
+# the unit monomial among the candidates swallows the rest
+@example((3, [_pack(e) for e in [(0, 1, 1), (0, 0, 0), (2, 0, 0), (0, 0, 0), (1, 1, 1)]]))
 def test_prop_minimal_matches_pairwise_reference(case):
     nv, packed = case
     want = [_pack(t) for t in _naive_ideal([_unpack(p, nv) for p in packed])]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from edgeideals.reports import RunConfig
 from edgeideals.suites import default_instances
 from edgeideals.symbolic import (
     CycleDecomposition,
+    _cover_primes,
     alpha_formula,
     asymptotic_invariants,
     containment_check,
@@ -47,6 +49,7 @@ from edgeideals.symbolic import (
 from graph_helpers import complete_graph, connected_bipartite_graphs
 
 _SEED = 61553
+EXTENDED = bool(os.environ.get("EDGEIDEALS_EXTENDED"))
 
 
 def cover_degree_member(m: Monomial, g: Graph, s: int) -> bool:
@@ -73,6 +76,18 @@ def test_ordinary_power_counts():
     assert ordinary_power(cycle_graph(5), 0).is_unit
     with pytest.raises(ValueError):
         ordinary_power(cycle_graph(5), -1)
+
+
+def test_ordinary_power_past_the_exponent_limit():
+    # I^s is built from the cached I^(s-1); far past the limit it must still
+    # raise LimitExceeded, or give zero without edges, not exhaust the stack
+    path = Graph(3, [(1, 2), (2, 3)])
+    assert len(ordinary_power(path, 127)) == 128
+    with pytest.raises(LimitExceeded):
+        ordinary_power(path, 128)
+    with pytest.raises(LimitExceeded):
+        ordinary_power(Graph(2, [(1, 2)]), 1000)
+    assert ordinary_power(Graph(3, []), 1000).is_zero
 
 
 def test_symbolic_power_small_cases():
@@ -109,7 +124,7 @@ def test_symbolic_power_matches_pairwise_cover_fold():
     graphs = [i.graph for i in default_instances(RunConfig())] + [complete_graph(6)]
     rng = random.Random(_SEED + 1)
     disconnected = isolated = 0
-    for _ in range(40):
+    for _ in range(120 if EXTENDED else 40):
         g = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
         touched = {v for e in g.edges for v in e}
         isolated += len(touched) < g.vertex_count
@@ -120,6 +135,35 @@ def test_symbolic_power_matches_pairwise_cover_fold():
         for s in range(1, 5):
             got = symbolic_power(g, s)
             assert got.packed == _pairwise_cover_fold(g, s).packed, (g.edges, s)
+
+
+def test_cover_table_keeps_alternating_graphs_apart():
+    # same vertex count, other covers: a table keyed only by size would mix them
+    c5 = cycle_graph(5)
+    other = Graph(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)])
+    graphs = [c5, other, cycle_graph(7)]
+    want = {(g, s): _pairwise_cover_fold(g, s).packed for g in graphs for s in (1, 2, 3)}
+    symbolic_power.cache_clear()
+    _cover_primes.cache_clear()
+    for s in (1, 2, 3):
+        for g in graphs:
+            assert symbolic_power(g, s).packed == want[g, s], (g, s)
+    assert _cover_primes.cache_info().hits == 0
+    symbolic_power.cache_clear()
+    for g in graphs:
+        for s in (1, 2, 3):
+            assert symbolic_power(g, s).packed == want[g, s], (g, s)
+    # one enumeration per graph asked at s = 1, 2, 3 in a row
+    assert _cover_primes.cache_info().hits == 2 * len(graphs)
+
+
+def test_cover_table_still_checks_the_vertex_bound():
+    g = cycle_graph(7)
+    assert len(symbolic_power(g, 2)) > 0
+    with pytest.raises(LimitExceeded):
+        symbolic_power(g, 2, max_vertices=g.vertex_count - 1)
+    with pytest.raises(LimitExceeded):
+        symbolic_power(g, 3, g.vertex_count - 1)
 
 
 def test_symbolic_power_limits():
